@@ -2,8 +2,7 @@
 regularizers, and the differentiable objective."""
 
 from .alignment import (alignment_parallel, alignment_recursive,
-                        extended_probability, stepwise_probability,
-                        transition_matrix)
+                        stepwise_probability)
 from .attention import (attention_energies, attention_output, beta_parallel,
                         beta_recursive)
 from .losses import (alignment_variance, expected_delays, ideal_delays,
@@ -17,9 +16,7 @@ from .params import (EncDecStates, FeedForward, LossWeights, PolicyHeadParams,
 __all__ = [
     "alignment_parallel",
     "alignment_recursive",
-    "extended_probability",
     "stepwise_probability",
-    "transition_matrix",
     "attention_energies",
     "attention_output",
     "beta_parallel",

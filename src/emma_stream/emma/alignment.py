@@ -2,9 +2,9 @@
 
 Two routes compute the same alignment matrix. ``alignment_recursive`` is a
 deliberately naive reference that follows the defining recurrence with plain
-Python floats; ``alignment_parallel`` is the closed-form evaluation built
-from cumulative products and shifts, with no divisions. The test suite holds
-the two within 1e-10 of each other.
+Python floats; ``alignment_parallel`` is the linear-time, division-free scan
+of :mod:`emma_stream.numerics.monotonic`, the same forward the objective
+records on the tape. The test suite holds the two within 1e-10 of each other.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ import numpy as np
 
 from ..errors import DomainError
 from ..numerics import matrix as mx
+from ..numerics.monotonic import alignment_forward
 from .params import EncDecStates, PolicyHeadParams
 
 __all__ = [
     "stepwise_probability",
     "alignment_recursive",
-    "extended_probability",
-    "transition_matrix",
     "alignment_parallel",
 ]
 
@@ -50,8 +49,7 @@ def alignment_recursive(p, force_last_column: bool = False) -> np.ndarray:
 
     Runs in O(|y| |x|^2) with an incremental right-to-left product so the
     brute force stays usable on thousand-instance sweeps. Kept free of the
-    cumulative-product machinery on purpose: it is the oracle the closed
-    form is checked against.
+    scan machinery on purpose: it is the oracle the scan is checked against.
     """
     p = _check_probability(p)
     n_target, n_source = p.shape
@@ -76,46 +74,11 @@ def alignment_recursive(p, force_last_column: bool = False) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
-def extended_probability(p_row) -> np.ndarray:
-    """Strictly-upper-triangular layout of a shifted probability row.
-
-    Row k holds p[k], ..., p[n-2] in columns k+1, ..., n-1 and zeros
-    elsewhere; built purely from ones/roll/triu so the same composition can
-    run on the reverse-mode tape.
-    """
-    row = mx.as_matrix(p_row)
-    if row.shape[0] != 1:
-        raise ValueError(f"expected a single probability row, got shape {row.shape}")
-    if row.shape[1] == 0:
-        raise ValueError("probability row must be non-empty")
-    n = row.shape[1]
-    return mx.triu(mx.matmul(mx.ones(n, 1), mx.roll(row, 1)), 1)
-
-
-def transition_matrix(p_row) -> np.ndarray:
-    """T[k, j] = prod_{l=k..j-1} (1 - p[l]) for k <= j, zero below diagonal."""
-    ext = extended_probability(p_row)
-    ones = mx.ones(*ext.shape)
-    return mx.triu(mx.cumprod(ones - ext, axis=1), 0)
-
-
 def alignment_parallel(p, force_last_column: bool = False) -> np.ndarray:
-    """Closed-form alignment: alpha_i = p_i * (alpha_{i-1} @ T(p_i)).
+    """Linear-time alignment by the scan
+    q[i, j] = alpha[i-1, j] + (1 - p[i, j-1]) q[i, j-1], alpha[i, j] = p[i, j] q[i, j].
 
     With ``force_last_column`` the final source position absorbs all
     remaining mass (p[:, -1] treated as 1), so each row sums to one exactly.
     """
-    p = _check_probability(p)
-    if force_last_column:
-        p = p.copy()
-        p[:, -1] = 1.0
-    n_target, n_source = p.shape
-    alpha_prev = np.zeros((1, n_source))
-    alpha_prev[0, 0] = 1.0
-    rows = []
-    for i in range(n_target):
-        row = p[i:i + 1, :]
-        alpha_row = mx.hadamard(row, mx.matmul(alpha_prev, transition_matrix(row)))
-        rows.append(alpha_row)
-        alpha_prev = alpha_row
-    return np.vstack(rows)
+    return alignment_forward(_check_probability(p), force_last_column)[0]

@@ -4,7 +4,9 @@ beta[i, j] spreads each alignment probability alpha[i, k] over the prefix
 1..k in proportion to the softmax energies, so the decoder may attend to
 everything read so far. ``beta_recursive`` is the literal double sum used
 as an oracle; ``beta_parallel`` is the vectorized form (a reversed
-cumulative sum over prefix-normalized terms).
+cumulative sum over prefix-normalized terms) of
+:mod:`emma_stream.numerics.monotonic`, the same forward the objective records
+on the tape.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 
 from ..errors import DomainError, ShapeError
 from ..numerics import matrix as mx
+from ..numerics.monotonic import lookback_forward
 from .params import EncDecStates, PolicyHeadParams
 
 __all__ = [
@@ -65,13 +68,9 @@ def beta_recursive(alpha, e) -> np.ndarray:
 def beta_parallel(alpha, e) -> np.ndarray:
     """Vectorized infinite-lookback attention.
 
-    beta = e * flip(cumsum(flip(alpha / cumsum(e)))), all along rows. The
-    inner division is a reciprocal-then-multiply so the identical graph runs
-    on the reverse-mode tape.
+    beta = e * flip(cumsum(flip(alpha / cumsum(e)))), all along rows.
     """
-    alpha, e = _check_pair(alpha, e)
-    inner = mx.hadamard(alpha, 1.0 / mx.cumsum(e, axis=1))
-    return mx.hadamard(e, mx.flip(mx.cumsum(mx.flip(inner), axis=1)))
+    return lookback_forward(*_check_pair(alpha, e))[0]
 
 
 def attention_output(beta, states: EncDecStates) -> np.ndarray:

@@ -3,7 +3,8 @@
 Each builder records onto a :class:`~emma_stream.numerics.tape.Tape` the same
 composition the plain-array functions in :mod:`alignment`, :mod:`attention`
 and :mod:`losses` evaluate, so the objective's gradients come from the exact
-graph whose value is reported. tanh is not a tape primitive; it is composed
+graph whose value is reported. The alignment and the lookback attention need
+no builder: each is one tape op. tanh is not a tape primitive; it is composed
 as 2*sigmoid(2x) - 1.
 """
 
@@ -22,9 +23,7 @@ __all__ = [
     "feedforward_nodes",
     "head_leaves",
     "stepwise_nodes",
-    "alignment_nodes",
     "energy_nodes",
-    "beta_nodes",
     "mean_node",
 ]
 
@@ -100,31 +99,6 @@ def stepwise_nodes(t: Tape, leaves: HeadLeaves, s: Node, h: Node) -> Node:
     return t.sigmoid(t.scale(t.add(energy, bias_full), 1.0 / leaves.temperature))
 
 
-def alignment_nodes(t: Tape, p: Node, force_last_column: bool = False) -> Node:
-    """Closed-form alignment rows stacked into a |y| x |x| node."""
-    n_target, n_source = p.shape
-    if force_last_column:
-        mask = np.ones((n_target, n_source))
-        mask[:, -1] = 0.0
-        last = np.zeros((n_target, n_source))
-        last[:, -1] = 1.0
-        p = t.add(t.mul(p, t.constant(mask)), t.constant(last))
-    ones_col = t.constant(np.ones((n_source, 1)))
-    ones_sq = t.constant(np.ones((n_source, n_source)))
-    alpha_first = np.zeros((1, n_source))
-    alpha_first[0, 0] = 1.0
-    alpha_prev = t.constant(alpha_first)
-    rows = []
-    for i in range(n_target):
-        row = t.row(p, i)
-        ext = t.triu(t.matmul(ones_col, t.roll(row, 1)), 1)
-        trans = t.triu(t.cumprod(t.sub(ones_sq, ext), axis=1), 0)
-        alpha_row = t.mul(row, t.matmul(alpha_prev, trans))
-        rows.append(alpha_row)
-        alpha_prev = alpha_row
-    return t.vstack(rows)
-
-
 def energy_nodes(t: Tape, leaves: HeadLeaves, s: Node, h: Node) -> Node:
     """exp of scaled dot-product scores, row max subtracted as a constant.
 
@@ -140,12 +114,6 @@ def energy_nodes(t: Tape, leaves: HeadLeaves, s: Node, h: Node) -> Node:
     row_max = scores.value.max(axis=1, keepdims=True)
     shift = t.constant(np.broadcast_to(row_max, scores.shape).copy())
     return t.exp(t.sub(scores, shift))
-
-
-def beta_nodes(t: Tape, alpha: Node, e: Node) -> Node:
-    """e * flip(cumsum(flip(alpha * (1 / cumsum(e))))) along rows."""
-    inner = t.mul(alpha, t.reciprocal(t.cumsum(e, axis=1)))
-    return t.mul(e, t.flip(t.cumsum(t.flip(inner), axis=1)))
 
 
 def mean_node(t: Tape, x: Node) -> Node:

@@ -81,9 +81,9 @@ def emma_objective(heads: list[PolicyHeadParams], states: EncDecStates,
         leaves = graph.head_leaves(t, hp)
         all_leaves.append(leaves)
         p = graph.stepwise_nodes(t, leaves, s_const, h_const)
-        alpha = graph.alignment_nodes(t, p, force_last_column)
+        alpha = t.monotonic_alignment(p, force_last_column)
         e = graph.energy_nodes(t, leaves, s_const, h_const)
-        beta = graph.beta_nodes(t, alpha, e)
+        beta = t.lookback_attention(alpha, e)
         attn = t.matmul(beta, v_const)
         delays = t.matmul(alpha, pos_node)
         lat = graph.mean_node(t, t.sub(delays, ideal_col))

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..errors import CorpusError
@@ -44,21 +45,52 @@ class Manifest:
             raise ValueError(f"manifest {path} is not valid JSON: {exc}")
         if not isinstance(raw, dict) or "instances" not in raw:
             raise ValueError(f"manifest {path} must be an object with 'instances'")
+        if not isinstance(raw["instances"], str):
+            raise ValueError(f"manifest {path}: 'instances' must be a path string")
         instances = Path(raw["instances"])
         if not instances.is_absolute():
             instances = path.parent / instances
         if not instances.exists():
             raise ValueError(f"instance file does not exist: {instances}")
-        model = raw.get("model", {})
-        runtime = RuntimeConfig(**raw.get("runtime", {}))
+        model = _object(raw.get("model", {}), "model")
+        sweep = raw.get("sweep", [])
+        if not isinstance(sweep, list):
+            raise ValueError(f"manifest 'sweep' must be a list, got {sweep!r}")
         return cls(
             instances=instances,
             model_kind=model.get("kind", "scripted_waitk"),
-            model_parameters=dict(model.get("parameters", {})),
-            runtime=runtime,
-            sweep=tuple(float(t) for t in raw.get("sweep", [])),
-            seed=int(raw.get("seed", 0)),
+            model_parameters=dict(_object(model.get("parameters", {}),
+                                          "model.parameters")),
+            runtime=_runtime(raw.get("runtime", {})),
+            sweep=tuple(_number(t, "sweep entry") for t in sweep),
+            seed=_number(raw.get("seed", 0), "seed", int),
         )
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"manifest '{what}' must be an object, got {value!r}")
+    return value
+
+
+def _number(value, what: str, kind: type = float):
+    """A finite JSON number of ``kind`` (int or float); booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, kind)) \
+            or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _runtime(raw) -> RuntimeConfig:
+    """RuntimeConfig from a manifest object; each field keeps its default's type."""
+    defaults = {f.name: f.default for f in fields(RuntimeConfig)}
+    values = {}
+    for key, value in _object(raw, "runtime").items():
+        if key not in defaults:
+            raise ValueError(
+                f"unknown runtime key {key!r}; expected one of {sorted(defaults)}")
+        values[key] = _number(value, f"runtime {key}", type(defaults[key]))
+    return RuntimeConfig(**values)
 
 
 def load_instances(path: str | Path) -> list[StreamInstance]:
@@ -98,7 +130,7 @@ def _parse_instance(raw: dict) -> StreamInstance:
         raise ValueError(f"instance {iid!r} has an empty source")
     chunks = []
     for entry in source:
-        dur_ms = entry["dur_ms"]
+        dur_ms = _number(entry["dur_ms"], f"instance {iid!r} dur_ms")
         if not dur_ms > 0:
             raise ValueError(f"instance {iid!r} has non-positive dur_ms {dur_ms}")
         chunks.append(SourceChunk(duration_s=dur_ms / 1000.0,

@@ -4,7 +4,8 @@ A :class:`Tape` records every primitive application as a :class:`Node`
 holding the operation kind, parent indices, and the forward value.  Nodes
 are appended in execution order, so the list is always topologically
 sorted and :meth:`Tape.backward` is a single reverse sweep.  Values are
-2-D float64 arrays, frozen on creation; scalars are 1-by-1 matrices.
+2-D float64 arrays, frozen on creation; scalars are 1-by-1 matrices.  An
+op whose adjoint reads forward intermediates keeps them in ``Node.saved``.
 
 Only first-order gradients of a single scalar output are supported, and a
 tape must stay on the thread that created it.
@@ -18,6 +19,7 @@ import numpy as np
 
 from ..errors import DomainError, ShapeError
 from . import matrix as mx
+from . import monotonic
 
 __all__ = ["Node", "Tape"]
 
@@ -31,16 +33,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class Node:
     """Handle to one recorded value on a tape."""
 
-    __slots__ = ("tape", "index", "op", "value", "parents", "meta")
+    __slots__ = ("tape", "index", "op", "value", "parents", "meta", "saved")
 
     def __init__(self, tape: "Tape", index: int, op: str, value: np.ndarray,
-                 parents: tuple[int, ...], meta: tuple):
+                 parents: tuple[int, ...], meta: tuple, saved: tuple = ()):
         self.tape = tape
         self.index = index
         self.op = op
         self.value = value
         self.parents = parents
         self.meta = meta
+        self.saved = saved
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -84,7 +87,8 @@ class Node:
         return f"Node(#{self.index} {self.op} {self.value.shape})"
 
 
-# Forward rules, keyed by op kind: (parent values, meta) -> value.
+# Forward rules, keyed by op kind: (parent values, meta) -> value, or a tuple
+# (value, *saved) for ops whose adjoint reads forward intermediates.
 # `leaf` has no rule; replay restores its stored value directly.
 _FORWARD: dict[str, Callable] = {
     "add": lambda vs, m: vs[0] + vs[1],
@@ -107,6 +111,8 @@ _FORWARD: dict[str, Callable] = {
     "row": lambda vs, m: vs[0][m[0]:m[0] + 1, :],
     "vstack": lambda vs, m: np.vstack(vs),
     "transpose": lambda vs, m: vs[0].T.copy(),
+    "monotonic_alignment": lambda vs, m: monotonic.alignment_forward(vs[0], m[0]),
+    "lookback_attention": lambda vs, m: monotonic.lookback_forward(vs[0], vs[1]),
 }
 
 
@@ -143,28 +149,33 @@ def _vstack_adjoint(grad: np.ndarray, row_counts: tuple[int, ...]):
     return tuple(grads)
 
 
-# Adjoint rules: (node value, upstream grad, parent values, meta) -> per-parent grads.
+# Adjoint rules: (node value, upstream grad, parent values, meta, saved)
+# -> per-parent grads.
 _BACKWARD: dict[str, Callable] = {
-    "add": lambda y, g, vs, m: (g, g),
-    "sub": lambda y, g, vs, m: (g, -g),
-    "mul": lambda y, g, vs, m: (g * vs[1], g * vs[0]),
-    "matmul": lambda y, g, vs, m: (g @ vs[1].T, vs[0].T @ g),
-    "scale": lambda y, g, vs, m: (g * m[0],),
-    "shift": lambda y, g, vs, m: (g,),
-    "reciprocal": lambda y, g, vs, m: (-g * y * y,),
-    "cumprod": lambda y, g, vs, m: (_cumprod_adjoint(vs[0], g, m[0]),),
-    "cumsum": lambda y, g, vs, m: (np.flip(np.cumsum(np.flip(g, axis=m[0]), axis=m[0]), axis=m[0]),),
-    "triu": lambda y, g, vs, m: (np.triu(g, k=m[0]),),
-    "roll": lambda y, g, vs, m: (np.roll(g, -m[0], axis=1),),
-    "flip": lambda y, g, vs, m: (g[:, ::-1],),
-    "sigmoid": lambda y, g, vs, m: (g * y * (1.0 - y),),
-    "exp": lambda y, g, vs, m: (g * y,),
-    "log": lambda y, g, vs, m: (g / vs[0],),
-    "row_softmax": lambda y, g, vs, m: (_softmax_adjoint(y, g),),
-    "sum": lambda y, g, vs, m: (np.full_like(vs[0], g[0, 0]),),
-    "row": lambda y, g, vs, m: (_row_scatter(g, vs[0].shape, m[0]),),
-    "vstack": lambda y, g, vs, m: _vstack_adjoint(g, m),
-    "transpose": lambda y, g, vs, m: (g.T.copy(),),
+    "add": lambda y, g, vs, m, s: (g, g),
+    "sub": lambda y, g, vs, m, s: (g, -g),
+    "mul": lambda y, g, vs, m, s: (g * vs[1], g * vs[0]),
+    "matmul": lambda y, g, vs, m, s: (g @ vs[1].T, vs[0].T @ g),
+    "scale": lambda y, g, vs, m, s: (g * m[0],),
+    "shift": lambda y, g, vs, m, s: (g,),
+    "reciprocal": lambda y, g, vs, m, s: (-g * y * y,),
+    "cumprod": lambda y, g, vs, m, s: (_cumprod_adjoint(vs[0], g, m[0]),),
+    "cumsum": lambda y, g, vs, m, s: (np.flip(np.cumsum(np.flip(g, axis=m[0]), axis=m[0]), axis=m[0]),),
+    "triu": lambda y, g, vs, m, s: (np.triu(g, k=m[0]),),
+    "roll": lambda y, g, vs, m, s: (np.roll(g, -m[0], axis=1),),
+    "flip": lambda y, g, vs, m, s: (g[:, ::-1],),
+    "sigmoid": lambda y, g, vs, m, s: (g * y * (1.0 - y),),
+    "exp": lambda y, g, vs, m, s: (g * y,),
+    "log": lambda y, g, vs, m, s: (g / vs[0],),
+    "row_softmax": lambda y, g, vs, m, s: (_softmax_adjoint(y, g),),
+    "sum": lambda y, g, vs, m, s: (np.full_like(vs[0], g[0, 0]),),
+    "row": lambda y, g, vs, m, s: (_row_scatter(g, vs[0].shape, m[0]),),
+    "vstack": lambda y, g, vs, m, s: _vstack_adjoint(g, m),
+    "transpose": lambda y, g, vs, m, s: (g.T.copy(),),
+    "monotonic_alignment": lambda y, g, vs, m, s: (
+        monotonic.alignment_adjoint(s[0], s[1], g, m[0]),),
+    "lookback_attention": lambda y, g, vs, m, s:
+        monotonic.lookback_adjoint(vs[0], vs[1], s[0], s[1], g),
 }
 
 
@@ -172,6 +183,12 @@ def _row_scatter(grad: np.ndarray, shape: tuple[int, int], i: int) -> np.ndarray
     out = np.zeros(shape)
     out[i, :] = grad[0, :]
     return out
+
+
+def _forward(op: str, values: list[np.ndarray], meta: tuple):
+    """(value, saved intermediates) of one forward rule."""
+    out = _FORWARD[op](values, meta)
+    return (out[0], out[1:]) if isinstance(out, tuple) else (out, ())
 
 
 class Tape:
@@ -187,10 +204,9 @@ class Tape:
         for p in parents:
             if p.tape is not self:
                 raise LookupError("parent node belongs to a different tape")
-        values = [p.value for p in parents]
-        value = _freeze(_FORWARD[op](values, meta))
-        node = Node(self, len(self.nodes), op, value,
-                    tuple(p.index for p in parents), meta)
+        value, saved = _forward(op, [p.value for p in parents], meta)
+        node = Node(self, len(self.nodes), op, _freeze(value),
+                    tuple(p.index for p in parents), meta, saved)
         self.nodes.append(node)
         return node
 
@@ -293,6 +309,19 @@ class Tape:
         return self._record("vstack", tuple(rows),
                             tuple(r.value.shape[0] for r in rows))
 
+    def monotonic_alignment(self, p: Node, force_last_column: bool = False) -> Node:
+        """Expected monotonic alignment of stepwise probabilities ``p``
+        (see :mod:`emma_stream.numerics.monotonic`), recorded as one node."""
+        return self._record("monotonic_alignment", (p,), (bool(force_last_column),))
+
+    def lookback_attention(self, alpha: Node, e: Node) -> Node:
+        """Infinite-lookback attention of ``alpha`` over energies ``e``,
+        recorded as one node."""
+        mx._check_same_shape(alpha.value, e.value, "lookback_attention")
+        if np.any(e.value <= 0.0):
+            raise DomainError("lookback_attention: energies must be strictly positive")
+        return self._record("lookback_attention", (alpha, e))
+
     # -- backward and replay ------------------------------------------------
     def backward(self, output: Node) -> list[np.ndarray]:
         """Gradients of a scalar ``output`` with respect to every node.
@@ -314,7 +343,8 @@ class Tape:
             if g is None or node.op == "leaf":
                 continue
             parent_values = [self.nodes[p].value for p in node.parents]
-            parent_grads = _BACKWARD[node.op](node.value, g, parent_values, node.meta)
+            parent_grads = _BACKWARD[node.op](node.value, g, parent_values,
+                                              node.meta, node.saved)
             for p_idx, pg in zip(node.parents, parent_grads):
                 if grads[p_idx] is None:
                     grads[p_idx] = pg.copy()
@@ -331,9 +361,9 @@ class Tape:
         for node in self.nodes:
             if node.op == "leaf":
                 continue
-            values = [self.nodes[p].value for p in node.parents]
-            recomputed = np.ascontiguousarray(
-                _FORWARD[node.op](values, node.meta), dtype=np.float64)
+            value, _ = _forward(node.op, [self.nodes[p].value for p in node.parents],
+                                node.meta)
+            recomputed = np.ascontiguousarray(value, dtype=np.float64)
             if not np.array_equal(recomputed, node.value):
                 raise RuntimeError(
                     f"replay mismatch at node #{node.index} ({node.op})")

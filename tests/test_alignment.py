@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from emma_stream.emma import (EncDecStates, FeedForward, PolicyHeadParams,
                               alignment_parallel, alignment_recursive,
-                              extended_probability, stepwise_probability,
-                              transition_matrix)
+                              stepwise_probability)
 from emma_stream.errors import DomainError, ShapeError
 
 
@@ -101,38 +100,7 @@ def test_recursion_rejects_out_of_range():
         alignment_recursive([[np.nan, 0.5]])
 
 
-# -- closed-form pieces -------------------------------------------------------
-
-def test_extended_probability_layout():
-    ext = extended_probability([[0.3, 0.6, 0.9]])
-    assert np.allclose(ext, [[0.0, 0.3, 0.6], [0.0, 0.0, 0.6], [0.0, 0.0, 0.0]])
-
-
-def test_extended_probability_two_entries():
-    assert np.allclose(extended_probability([[0.5, 0.5]]), [[0.0, 0.5], [0.0, 0.0]])
-
-
-def test_extended_probability_zeros():
-    assert np.array_equal(extended_probability([[0.0, 0.0, 0.0]]), np.zeros((3, 3)))
-
-
-def test_extended_probability_rejects_non_row():
-    with pytest.raises(ValueError):
-        extended_probability(np.zeros((2, 3)))
-
-
-def test_transition_matrix_hand_value():
-    assert np.allclose(transition_matrix([[0.5, 0.5]]), [[1.0, 0.5], [0.0, 1.0]])
-
-
-def test_transition_matrix_no_stopping_mass():
-    assert np.array_equal(transition_matrix([[0.0, 0.0, 0.0]]),
-                          np.triu(np.ones((3, 3))))
-
-
-def test_transition_matrix_certain_write():
-    assert np.array_equal(transition_matrix([[1.0, 1.0, 1.0]]), np.eye(3))
-
+# -- scan fixtures ------------------------------------------------------------
 
 def test_parallel_single_row_worked_example():
     assert np.allclose(alignment_parallel([[0.5, 0.5]]), [[0.5, 0.25]],

@@ -458,6 +458,41 @@ def test_cli_corrupt_corpus_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("runtime", {"bogus": 1}),
+    ("model", [1]),
+    ("runtime", {"threshold": "0.5"}),
+    ("sweep", [0.4, [0.6]]),
+    ("seed", None),
+])
+def test_cli_malformed_manifest_exits_2_with_one_line(tmp_path, capsys,
+                                                      field, value):
+    mpath = cli_manifest(tmp_path)
+    manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    manifest[field] = value
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    command = "sweep" if field == "sweep" else "evaluate"
+    assert main([command, "--manifest", str(mpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dur_ms", ["1e400", "true"])
+def test_cli_bad_duration_exits_1_without_report(tmp_path, capsys, dur_ms):
+    good = '{"id": "a", "source": [{"dur_ms": 10, "token": 1}], "reference": [1]}'
+    bad = ('{"id": "b", "source": [{"dur_ms": %s, "token": 1}], '
+           '"reference": [1]}' % dur_ms)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"instances": corpus.name}), encoding="utf-8")
+    out = tmp_path / "report.csv"
+    assert main(["evaluate", "--manifest", str(mpath), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert ":2:" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_runs_byte_identical(tmp_path):
     mpath = cli_manifest(tmp_path)
     a = tmp_path / "a.json"

@@ -71,9 +71,9 @@ def test_graph_forward_matches_array_route():
     s_const = t.constant(states.s)
     h_const = t.constant(states.h)
     p_node = graph.stepwise_nodes(t, leaves, s_const, h_const)
-    alpha_node = graph.alignment_nodes(t, p_node)
+    alpha_node = t.monotonic_alignment(p_node)
     e_node = graph.energy_nodes(t, leaves, s_const, h_const)
-    beta_node = graph.beta_nodes(t, alpha_node, e_node)
+    beta_node = t.lookback_attention(alpha_node, e_node)
 
     p = stepwise_probability(head, states)
     assert np.abs(p_node.value - p).max() <= 1e-12
@@ -92,7 +92,7 @@ def test_forced_last_column_graph_matches():
     leaves = graph.head_leaves(t, head)
     p_node = graph.stepwise_nodes(t, leaves, t.constant(states.s),
                                   t.constant(states.h))
-    alpha_node = graph.alignment_nodes(t, p_node, force_last_column=True)
+    alpha_node = t.monotonic_alignment(p_node, force_last_column=True)
     alpha = alignment_parallel(stepwise_probability(head, states),
                                force_last_column=True)
     assert np.abs(alpha_node.value - alpha).max() <= 1e-12

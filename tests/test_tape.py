@@ -205,7 +205,11 @@ def test_replay_reproduces_values():
     a = t.leaf(rng.normal(size=(3, 3)))
     b = t.leaf(rng.normal(size=(3, 3)))
     c = t.row_softmax(t.matmul(t.sigmoid(a), b))
-    d = t.sum(t.cumprod(t.triu(c, 0), axis=1))
+    e = t.cumprod(t.triu(c, 0), axis=1)
+    alpha = t.monotonic_alignment(c)
+    forced = t.monotonic_alignment(c, force_last_column=True)
+    beta = t.lookback_attention(t.add(alpha, forced), t.exp(b))
+    d = t.add(t.sum(e), t.sum(beta))
     assert d.item() is not None
     t.replay()  # raises on any bit-level mismatch
 
