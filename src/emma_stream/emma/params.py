@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
@@ -128,8 +129,9 @@ class LossWeights:
     lambda_variance: float = 0.0
 
     def __post_init__(self):
-        if self.lambda_latency < 0 or self.lambda_variance < 0:
-            raise ValueError("loss weights must be non-negative")
+        for weight in (self.lambda_latency, self.lambda_variance):
+            if not 0 <= weight < math.inf:
+                raise ValueError(f"loss weights must be non-negative and finite, got {weight}")
 
 
 @dataclass(frozen=True)

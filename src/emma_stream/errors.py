@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """A value lies outside the numeric domain an operation is defined on."""
 
 
-class ProtocolError(RuntimeError):
-    """An incremental model violated the streaming call contract."""
-
-
 class EmptyOutputError(ValueError):
     """A trace produced no emissions, so offset latency is undefined."""
 

@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the manifest seed")
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--trace-dir", default=None,
-                       help="write per-instance event logs here")
+                       help="write per-instance event logs here (a sweep "
+                            "writes one threshold-<t> directory per threshold)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="report path (default stdout)")
 

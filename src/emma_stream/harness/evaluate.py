@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
-from ..errors import (CorpusError, DomainError, EmptyOutputError,
-                      ProtocolError)
+from ..errors import CorpusError, DomainError, EmptyOutputError
 from ..metrics.bleu import QualityReport, corpus_bleu
 from ..metrics.latency import (InstanceLatency, LatencyReport,
                                average_lagging, build_latency_report,
@@ -106,7 +106,7 @@ def evaluate_corpus(manifest: Manifest, *, threshold: float | None = None,
     def score(instance):
         try:
             return _score_instance(instance, factory, config, trace_dir)
-        except (EmptyOutputError, DomainError, ProtocolError, ValueError) as exc:
+        except (EmptyOutputError, DomainError, ValueError) as exc:
             return (instance.id, f"{type(exc).__name__}: {exc}")
 
     if workers == 1:
@@ -132,12 +132,16 @@ def evaluate_corpus(manifest: Manifest, *, threshold: float | None = None,
 
 def threshold_sweep(manifest: Manifest, *, workers: int = 1,
                     trace_dir=None) -> SweepReport:
-    """One evaluate_corpus per sweep threshold, rows sorted by threshold."""
+    """One evaluate_corpus per sweep threshold, rows sorted by threshold.
+
+    Traces of threshold t go to ``trace_dir/threshold-<t:.6f>/``.
+    """
     thresholds = sorted(manifest.sweep)
     if len(thresholds) < 2:
         raise ValueError("a sweep needs at least two thresholds")
     rows = tuple(
         evaluate_corpus(manifest, threshold=t, workers=workers,
-                        trace_dir=trace_dir).to_row()
+                        trace_dir=None if trace_dir is None
+                        else Path(trace_dir) / f"threshold-{t:.6f}").to_row()
         for t in thresholds)
     return SweepReport(rows=rows)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,8 @@ def generate_corpus(n_instances: int, length: int, chunk_ms: float,
     """
     if n_instances < 1 or length < 1:
         raise ValueError("need at least one instance and one chunk")
-    if chunk_ms <= 0:
-        raise ValueError("chunk_ms must be positive")
+    if not 0 < chunk_ms < math.inf:
+        raise ValueError(f"chunk_ms must be positive and finite, got {chunk_ms}")
     if vocab < 1:
         raise ValueError("vocab must be positive")
     rng = np.random.default_rng(seed)

@@ -10,9 +10,7 @@ from pathlib import Path
 from ..errors import CorpusError
 from ..runtime.types import RuntimeConfig, SourceChunk, StreamInstance
 
-__all__ = ["Manifest", "load_instances"]
-
-_MODEL_KINDS = ("scripted_waitk", "scripted_stochastic", "toy_trained")
+__all__ = ["Manifest", "load_instances", "model_parameters"]
 
 
 @dataclass(frozen=True)
@@ -27,9 +25,7 @@ class Manifest:
     seed: int = 0
 
     def __post_init__(self):
-        if self.model_kind not in _MODEL_KINDS:
-            raise ValueError(
-                f"unknown model kind {self.model_kind!r}; expected one of {_MODEL_KINDS}")
+        model_parameters(self.model_kind, self.model_parameters)
         for t in self.sweep:
             if not 0.0 < t < 1.0:
                 raise ValueError(f"sweep threshold {t} outside (0,1)")
@@ -81,6 +77,67 @@ def _number(value, what: str, kind: type = float):
     return kind(value)
 
 
+def _at_least(kind: type, low, strict: bool = False):
+    """Checker for a finite number of ``kind`` >= low, or > low if strict."""
+    def check(value, what: str):
+        number = _number(value, what, kind)
+        if number < low or (strict and number == low):
+            bound = "above" if strict else "at least"
+            raise ValueError(f"{what} must be {bound} {low}, got {number!r}")
+        return number
+    return check
+
+
+def _vocab_map(value, what: str) -> dict[int, int] | None:
+    """Token-id map with integer (JSON: integer-string) keys; None copies."""
+    if value is None:
+        return None
+    mapped = {}
+    for key, target in _object(value, what).items():
+        try:
+            source = int(key)
+        except (TypeError, ValueError):
+            raise ValueError(f"{what} key {key!r} is not an integer token id")
+        mapped[source] = _number(target, f"{what} value", int)
+    return mapped
+
+
+_COUNT = _at_least(int, 1)
+_WEIGHT = _at_least(float, 0.0)
+_POSITIVE = _at_least(float, 0.0, strict=True)
+
+# model.parameters per model kind: key -> (checker, default). A train_seed
+# of None trains with the manifest seed.
+_MODEL_PARAMETERS = {
+    "scripted_waitk": {"k": (_at_least(int, 0), 2),
+                       "vocab_map": (_vocab_map, None)},
+    "scripted_stochastic": {"heads": (_COUNT, 2),
+                            "temperature": (_POSITIVE, 1.0)},
+    "toy_trained": {"d": (_COUNT, 8), "d_k": (_COUNT, 4), "d_v": (_COUNT, 3),
+                    "heads": (_COUNT, 2), "steps": (_COUNT, 200),
+                    "learning_rate": (_POSITIVE, 0.25), "vocab": (_COUNT, 6),
+                    "source_len": (_COUNT, 6), "target_len": (_COUNT, 4),
+                    "lambda_latency": (_WEIGHT, 0.0),
+                    "lambda_variance": (_WEIGHT, 0.0),
+                    "train_seed": (_at_least(int, 0), None)},
+}
+
+
+def model_parameters(kind: str, parameters: dict) -> dict:
+    """A model block's parameters checked against its kind, defaults filled in."""
+    if not isinstance(kind, str) or kind not in _MODEL_PARAMETERS:
+        raise ValueError(f"unknown model kind {kind!r}; "
+                         f"expected one of {tuple(_MODEL_PARAMETERS)}")
+    table = _MODEL_PARAMETERS[kind]
+    values = {key: default for key, (_, default) in table.items()}
+    for key, value in parameters.items():
+        if key not in table:
+            raise ValueError(f"unknown {kind} parameter {key!r}; "
+                             f"expected one of {sorted(table)}")
+        values[key] = table[key][0](value, f"{kind} parameter {key}")
+    return values
+
+
 def _runtime(raw) -> RuntimeConfig:
     """RuntimeConfig from a manifest object; each field keeps its default's type."""
     defaults = {f.name: f.default for f in fields(RuntimeConfig)}
@@ -98,7 +155,8 @@ def load_instances(path: str | Path) -> list[StreamInstance]:
 
     One object per line: {"id": str, "source": [{"dur_ms": ms, "token": id},
     ...], "reference": [id, ...]}. Durations arrive in milliseconds and are
-    stored in seconds.
+    stored in seconds. An id names its trace file, so it must be a plain
+    file name.
     """
     path = Path(path)
     instances: list[StreamInstance] = []
@@ -125,6 +183,8 @@ def load_instances(path: str | Path) -> list[StreamInstance]:
 
 def _parse_instance(raw: dict) -> StreamInstance:
     iid = str(raw["id"])
+    if iid in ("", ".", "..") or "/" in iid or "\\" in iid:
+        raise ValueError(f"instance id {iid!r} is not a plain file name")
     source = raw["source"]
     if not source:
         raise ValueError(f"instance {iid!r} has an empty source")
@@ -133,7 +193,9 @@ def _parse_instance(raw: dict) -> StreamInstance:
         dur_ms = _number(entry["dur_ms"], f"instance {iid!r} dur_ms")
         if not dur_ms > 0:
             raise ValueError(f"instance {iid!r} has non-positive dur_ms {dur_ms}")
-        chunks.append(SourceChunk(duration_s=dur_ms / 1000.0,
-                                  payload=int(entry["token"])))
+        token = _number(entry["token"], f"instance {iid!r} token", int)
+        chunks.append(SourceChunk(duration_s=dur_ms / 1000.0, payload=token))
+    reference = tuple(_number(t, f"instance {iid!r} reference token", int)
+                      for t in raw["reference"])
     return StreamInstance(id=iid, source_chunks=tuple(chunks),
-                          reference=tuple(int(t) for t in raw["reference"]))
+                          reference=reference)

@@ -15,8 +15,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..emma.params import PolicyHeadParams
-from ..runtime.models import scripted_waitk_model
-from ..runtime.types import EOS_TOKEN, IncrementalModel, SourceChunk, StreamInstance
+from ..runtime.models import CopyModel, scripted_waitk_model
+from ..runtime.types import EOS_TOKEN, IncrementalModel, StreamInstance
+from .manifest import model_parameters
 
 __all__ = ["ScriptedStochasticModel", "ToyPolicyModel", "model_factory"]
 
@@ -39,7 +40,7 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-class ScriptedStochasticModel:
+class ScriptedStochasticModel(CopyModel):
     """Head probabilities sigmoid(g / temperature) with g drawn once from a
     seeded Gaussian per (head, written, consumed).
 
@@ -67,35 +68,26 @@ class ScriptedStochasticModel:
             self._cache[key] = float(rng.standard_normal())
         return self._cache[key]
 
-    def encode_prefix(self, chunks: Sequence[SourceChunk]):
-        return tuple(c.payload for c in chunks)
-
-    def head_probabilities(self, states, prefix: Sequence[int]) -> list[float]:
+    def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
         written, consumed = len(prefix), len(states)
-        if written >= consumed:
-            return [0.0] * self.n_heads  # nothing unseen to translate
         return [_sigmoid(self._gaussian(h, written, consumed) / self.temperature)
                 for h in range(self.n_heads)]
 
-    def next_token(self, states, prefix: Sequence[int]) -> int:
-        if len(prefix) >= len(states):
-            return EOS_TOKEN
-        return states[len(prefix)]
 
-
-class ToyPolicyModel:
+class ToyPolicyModel(CopyModel):
     """Streams with trained policy heads over hash-embedded states.
 
     Source payloads embed to shared d-dimensional Gaussian rows (the same
     token embeds identically in every instance); the decoder state embeds
     from (position, last committed token). The stepwise probability of each
-    head is evaluated against the latest encoder row.
+    head is evaluated against the row of the latest consumed payload.
     """
 
     def __init__(self, heads: list[PolicyHeadParams], d: int, seed: int):
         if not heads:
             raise ValueError("need at least one trained head")
         self.heads = list(heads)
+        self.n_heads = len(self.heads)
         self.d = d
         self.seed = seed
         self._src_cache: dict[int, np.ndarray] = {}
@@ -104,7 +96,7 @@ class ToyPolicyModel:
     def _embed_source(self, payload: int) -> np.ndarray:
         if payload not in self._src_cache:
             rng = _hash_rng(self.seed, "src", payload)
-            self._src_cache[payload] = rng.standard_normal(self.d)
+            self._src_cache[payload] = rng.standard_normal((1, self.d))
         return self._src_cache[payload]
 
     def _embed_decoder(self, prefix: Sequence[int]) -> np.ndarray:
@@ -114,45 +106,24 @@ class ToyPolicyModel:
             self._dec_cache[key] = rng.standard_normal((1, self.d))
         return self._dec_cache[key]
 
-    def encode_prefix(self, chunks: Sequence[SourceChunk]):
-        payloads = tuple(c.payload for c in chunks)
-        h = np.vstack([self._embed_source(p) for p in payloads])
-        return (payloads, h)
-
-    def head_probabilities(self, states, prefix: Sequence[int]) -> list[float]:
-        payloads, h = states
-        if len(prefix) >= len(payloads):
-            return [0.0] * len(self.heads)
+    def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
         s_row = self._embed_decoder(prefix)
-        h_last = h[-1:, :]
+        h_last = self._embed_source(states[-1])
         ps = []
         for head in self.heads:
             energy = (head.ffn_s.apply(s_row) @ head.ffn_h.apply(h_last).T).item()
             ps.append(_sigmoid((energy + head.bias) / head.temperature))
         return ps
 
-    def next_token(self, states, prefix: Sequence[int]) -> int:
-        payloads, _ = states
-        if len(prefix) >= len(payloads):
-            return EOS_TOKEN
-        return payloads[len(prefix)]
-
 
 def model_factory(kind: str, parameters: dict, seed: int) -> Callable[[StreamInstance], IncrementalModel]:
     """Per-instance model constructor for a manifest's model block."""
+    values = model_parameters(kind, parameters)
     if kind == "scripted_waitk":
-        k = int(parameters.get("k", 2))
-        vocab_map = parameters.get("vocab_map")
-        if vocab_map is not None:
-            vocab_map = {int(a): int(b) for a, b in vocab_map.items()}
-        return lambda inst: scripted_waitk_model(k, vocab_map)
+        return lambda inst: scripted_waitk_model(values["k"], values["vocab_map"])
     if kind == "scripted_stochastic":
-        n_heads = int(parameters.get("heads", 2))
-        temperature = float(parameters.get("temperature", 1.0))
-        return lambda inst: ScriptedStochasticModel(seed, inst.id, n_heads,
-                                                    temperature)
-    if kind == "toy_trained":
-        from .training import trained_heads_for_model
-        heads, d = trained_heads_for_model(parameters, seed)
-        return lambda inst: ToyPolicyModel(heads, d, seed)
-    raise ValueError(f"unknown model kind {kind!r}")
+        return lambda inst: ScriptedStochasticModel(
+            seed, inst.id, values["heads"], values["temperature"])
+    from .training import trained_heads_for_model
+    heads, d = trained_heads_for_model(values, seed)
+    return lambda inst: ToyPolicyModel(heads, d, seed)

@@ -8,6 +8,7 @@ identical and final delays are directly comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +45,8 @@ class ToyTrainConfig:
         LossWeights(0.0, 0.0), LossWeights(0.5, 0.0))
 
     def __post_init__(self):
-        if self.steps < 1 or self.learning_rate <= 0:
-            raise ValueError("steps and learning rate must be positive")
+        if self.steps < 1 or not 0 < self.learning_rate < math.inf:
+            raise ValueError("steps and learning rate must be positive and finite")
 
 
 @dataclass
@@ -122,22 +123,23 @@ def train_toy_policy(config: ToyTrainConfig) -> TrainingReport:
 def trained_heads_for_model(parameters: dict, seed: int):
     """Train once for a manifest's toy_trained model block.
 
-    Recognized parameters: d, d_k, d_v, heads, steps, learning_rate, vocab,
-    source_len, target_len, lambda_latency, lambda_variance, train_seed.
+    ``parameters`` is the block checked by ``manifest.model_parameters``,
+    with every default filled in; a ``train_seed`` of None means ``seed``.
     """
-    weights = LossWeights(float(parameters.get("lambda_latency", 0.0)),
-                          float(parameters.get("lambda_variance", 0.0)))
+    weights = LossWeights(parameters["lambda_latency"],
+                          parameters["lambda_variance"])
+    train_seed = parameters["train_seed"]
     config = ToyTrainConfig(
-        source_len=int(parameters.get("source_len", 6)),
-        target_len=int(parameters.get("target_len", 4)),
-        vocab=int(parameters.get("vocab", 6)),
-        d=int(parameters.get("d", 8)),
-        d_k=int(parameters.get("d_k", 4)),
-        d_v=int(parameters.get("d_v", 3)),
-        n_heads=int(parameters.get("heads", 2)),
-        steps=int(parameters.get("steps", 200)),
-        learning_rate=float(parameters.get("learning_rate", 0.25)),
-        seed=int(parameters.get("train_seed", seed)),
+        source_len=parameters["source_len"],
+        target_len=parameters["target_len"],
+        vocab=parameters["vocab"],
+        d=parameters["d"],
+        d_k=parameters["d_k"],
+        d_v=parameters["d_v"],
+        n_heads=parameters["heads"],
+        steps=parameters["steps"],
+        learning_rate=parameters["learning_rate"],
+        seed=seed if train_seed is None else train_seed,
         weight_settings=(weights, weights),  # single setting, trained once
     )
     run = train_single(config, weights)

@@ -1,12 +1,13 @@
 """The streaming read/write state machine.
 
-One outer loop alternates two phases: a read phase that consumes source
-chunks while the policy stays below threshold, and a write phase that
-commits tokens while it stays at or above it. The decision compares the
-minimum over head probabilities against the threshold; min >= t writes
-(boundary inclusive). Once the source is exhausted the write loop runs
-with the threshold bypassed (the offline tail), and leftover units below
-the minimum chunk size are flushed in a final emission.
+One loop, one policy query per (written, consumed) state. While source
+remains, the loop asks the model once for its head probabilities and
+compares their minimum against the threshold: min >= t writes one token
+(boundary inclusive), anything lower reads one chunk. The first chunk is
+read unconditionally, since there is nothing to decide on before it. Once
+the source is exhausted the loop writes without asking (the offline tail)
+until the model emits EOS or the target cap is hit, and leftover units
+below the minimum chunk size are flushed in a final emission.
 
 The simulated clock advances only with source consumption; model compute
 time is not modeled.
@@ -14,7 +15,6 @@ time is not modeled.
 
 from __future__ import annotations
 
-from ..errors import ProtocolError
 from .types import (EOS_TOKEN, DecisionTrace, Emission, IncrementalModel,
                     RuntimeConfig, StreamInstance, TraceEvent)
 
@@ -55,17 +55,18 @@ class StreamSession:
         self.finished = False
         self.truncated = False
 
-    # -- phases ---------------------------------------------------------------
-
     @property
     def exhausted(self) -> bool:
         return self.consumed == len(self.instance.source_chunks)
 
-    def _decision(self) -> str:
-        if self.states is None:
-            raise ProtocolError("decision requested before any source was read")
+    def _should_read(self) -> bool:
+        """The one policy query of the current state, if it needs one."""
+        if self.exhausted:
+            return False
+        if self.consumed == 0:
+            return True
         ps = self.model.head_probabilities(self.states, self.outputs)
-        return decide(ps, self.config.threshold)
+        return decide(ps, self.config.threshold) == READ
 
     def _consume(self) -> None:
         chunk = self.instance.source_chunks[self.consumed]
@@ -75,7 +76,14 @@ class StreamSession:
             self.instance.source_chunks[:self.consumed])
         self.events.append(TraceEvent(self.sim_time, "READ"))
 
-    def _commit(self, token: int) -> None:
+    def _write(self) -> None:
+        if len(self.outputs) >= self.config.max_target_len:
+            self.truncated = True
+            return
+        token = int(self.model.next_token(self.states, self.outputs))
+        if token == EOS_TOKEN:
+            self.finished = True
+            return
         self.outputs.append(token)
         self.delays.append(self.sim_time)
         self.events.append(TraceEvent(self.sim_time, "WRITE", token=token))
@@ -92,33 +100,12 @@ class StreamSession:
         self.events.append(TraceEvent(self.sim_time, "EMIT", units=units))
         self._pending = []
 
-    def _write_one(self) -> None:
-        if self.states is None:
-            raise ProtocolError("write requested before any source was read")
-        if len(self.outputs) >= self.config.max_target_len:
-            self.truncated = True
-            return
-        token = int(self.model.next_token(self.states, self.outputs))
-        if token == EOS_TOKEN:
-            self.finished = True
-            return
-        self._commit(token)
-
-    def _write_phase(self) -> None:
-        # commit while the policy stays at or above threshold
+    def run(self) -> DecisionTrace:
         while not (self.finished or self.truncated):
-            if self._decision() == READ:
-                return
-            self._write_one()
-
-    def drain(self) -> None:
-        """Offline tail: source gone, write without threshold checks."""
-        if not self.exhausted:
-            raise ProtocolError("drain requires the source to be fully consumed")
-        while not (self.finished or self.truncated):
-            self._write_one()
-
-    def _finish(self) -> DecisionTrace:
+            if self._should_read():
+                self._consume()
+            else:
+                self._write()
         if self._pending:
             self._emit()  # flush units below the minimum chunk size
         self.events.append(TraceEvent(self.sim_time, "FINISH"))
@@ -130,17 +117,6 @@ class StreamSession:
             delays=self.delays,
             emissions=self.emissions,
             truncated=self.truncated)
-
-    def run(self) -> DecisionTrace:
-        while not (self.finished or self.truncated):
-            if not self.exhausted and (self.states is None
-                                       or self._decision() == READ):
-                self._consume()
-            elif not self.exhausted:
-                self._write_phase()
-            else:
-                self.drain()
-        return self._finish()
 
 
 def run_stream(model: IncrementalModel, instance: StreamInstance,

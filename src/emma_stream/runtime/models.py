@@ -1,4 +1,4 @@
-"""Deterministic scripted models for driving and testing the runtime."""
+"""Copy models: the shared copy core and deterministic scripted models."""
 
 from __future__ import annotations
 
@@ -6,35 +6,59 @@ from typing import Callable, Mapping, Sequence
 
 from .types import EOS_TOKEN, SourceChunk
 
-__all__ = ["scripted_waitk_model", "scripted_probability_model"]
+__all__ = ["CopyModel", "scripted_waitk_model", "scripted_probability_model"]
 
 
-class _WaitK:
+class CopyModel:
+    """Copy core of every built-in model: the states are the consumed payloads.
+
+    ``next_token`` copies the first payload not yet copied and returns EOS
+    once every consumed payload has been copied. With nothing left to copy
+    every head returns 0, so the loop reads on. Subclasses supply
+    ``n_heads`` and ``_probabilities(states, prefix)``, which is only asked
+    while an uncopied payload exists.
+    """
+
+    n_heads = 1
+
+    def encode_prefix(self, chunks: Sequence[SourceChunk]):
+        return tuple(c.payload for c in chunks)
+
+    def head_probabilities(self, states, prefix: Sequence[int]) -> list[float]:
+        if len(prefix) >= len(states):
+            return [0.0] * self.n_heads
+        return self._probabilities(states, prefix)
+
+    def next_token(self, states, prefix: Sequence[int]) -> int:
+        if len(prefix) >= len(states):
+            return EOS_TOKEN
+        return states[len(prefix)]
+
+    def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
+        raise NotImplementedError
+
+
+class _WaitK(CopyModel):
     """Copies source payloads after a fixed head start of k chunks.
 
-    The head probability is 1 exactly when consumed >= k + written (and a
-    fresh payload exists to copy), else 0; thresholds in (0,1) are
-    irrelevant. Emits EOS once every consumed payload has been copied.
+    The head probability is 1 exactly when consumed >= k + written, else 0;
+    thresholds in (0,1) are irrelevant.
     """
 
     def __init__(self, k: int, vocab_map: Mapping[int, int] | None):
         self.k = k
         self.vocab_map = vocab_map
 
-    def encode_prefix(self, chunks: Sequence[SourceChunk]):
-        return tuple(c.payload for c in chunks)
-
-    def head_probabilities(self, states, prefix: Sequence[int]) -> list[float]:
-        ready = len(states) >= self.k + len(prefix) and len(states) > len(prefix)
-        return [1.0 if ready else 0.0]
+    def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
+        return [1.0 if len(states) >= self.k + len(prefix) else 0.0]
 
     def next_token(self, states, prefix: Sequence[int]) -> int:
-        if len(prefix) >= len(states):
-            return EOS_TOKEN
-        payload = states[len(prefix)]
-        if self.vocab_map is None:
-            return payload
-        return self.vocab_map[payload]
+        token = super().next_token(states, prefix)
+        if self.vocab_map is None or token == EOS_TOKEN:
+            return token
+        if token not in self.vocab_map:
+            raise ValueError(f"payload {token} is missing from vocab_map")
+        return self.vocab_map[token]
 
 
 def scripted_waitk_model(k: int, vocab_map: Mapping[int, int] | None = None) -> _WaitK:
@@ -44,29 +68,18 @@ def scripted_waitk_model(k: int, vocab_map: Mapping[int, int] | None = None) -> 
     return _WaitK(k, vocab_map)
 
 
-class _ScriptedProbability:
+class _ScriptedProbability(CopyModel):
     """Head probabilities from a pure function of (written, consumed).
 
     Useful for threshold-dominance properties: the probability surface is
-    fixed, so raising the threshold can only postpone writes. Output tokens
-    copy source payloads like the wait-k model.
+    fixed, so raising the threshold can only postpone writes.
     """
 
     def __init__(self, prob_fn: Callable[[int, int], Sequence[float]]):
         self.prob_fn = prob_fn
 
-    def encode_prefix(self, chunks: Sequence[SourceChunk]):
-        return tuple(c.payload for c in chunks)
-
-    def head_probabilities(self, states, prefix: Sequence[int]) -> list[float]:
-        if len(prefix) >= len(states):
-            return [0.0]  # nothing new to copy; force reads until drain
+    def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
         return list(self.prob_fn(len(prefix), len(states)))
-
-    def next_token(self, states, prefix: Sequence[int]) -> int:
-        if len(prefix) >= len(states):
-            return EOS_TOKEN
-        return states[len(prefix)]
 
 
 def scripted_probability_model(prob_fn: Callable[[int, int], Sequence[float]]):

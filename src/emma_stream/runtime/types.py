@@ -78,9 +78,12 @@ class RuntimeConfig:
 class IncrementalModel(Protocol):
     """Behavioral contract the streaming loop drives.
 
-    Implementations must be deterministic given identical call history, and
-    ``encode_prefix`` of j chunks must equal one-shot encoding of that same
-    prefix (the loop re-encodes from scratch after every read).
+    After every read the loop calls ``encode_prefix`` on the whole consumed
+    prefix; while source remains it calls ``head_probabilities`` once per
+    (written, consumed) state, and ``next_token`` for every write.
+    Implementations must be deterministic given identical call history.
+    The built-in models (``runtime.models.CopyModel``) keep the consumed
+    payloads as their states, so encoding a prefix is a tuple copy.
     """
 
     def encode_prefix(self, chunks: Sequence[SourceChunk]):

@@ -4,17 +4,19 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from emma_stream.emma.params import LossWeights
 from emma_stream.errors import CorpusError, TrainingDivergedError
 from emma_stream.harness import (COLUMNS, Manifest, SweepReport, SweepRow,
                                  evaluate_corpus, generate_corpus,
-                                 load_instances, render_report,
-                                 threshold_sweep, train_toy_policy,
-                                 write_corpus)
+                                 load_instances, model_factory,
+                                 render_report, threshold_sweep,
+                                 train_toy_policy, write_corpus)
 from emma_stream.harness.cli import main
 from emma_stream.harness.training import ToyTrainConfig, train_single
-from emma_stream.runtime import RuntimeConfig
+from emma_stream.runtime import RuntimeConfig, StreamInstance
 
 
 def write_jsonl(path, entries):
@@ -501,3 +503,189 @@ def test_cli_runs_byte_identical(tmp_path):
         assert main(["sweep", "--manifest", str(mpath), "--format", "json",
                      "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def manifest_with_model(tmp_path, kind, parameters_text):
+    corpus = copy_corpus_path(tmp_path, n=3)
+    mpath = tmp_path / "m.json"
+    mpath.write_text('{"instances": "%s", "model": {"kind": "%s", '
+                     '"parameters": %s}}' % (corpus.name, kind, parameters_text),
+                     encoding="utf-8")
+    return mpath
+
+
+@pytest.mark.parametrize("kind,parameters_text", [
+    ("toy_trained", '{"steps": null}'),
+    ("toy_trained", '{"steps": 1e400}'),
+    ("toy_trained", '{"d": 0}'),
+    ("toy_trained", '{"bogus": 1}'),
+    ("scripted_waitk", '{"vocab_map": [1, 2]}'),
+    ("scripted_waitk", '{"vocab_map": {"x": 2}}'),
+    ("scripted_waitk", '{"k": -1}'),
+    ("scripted_stochastic", '{"temperature": 0}'),
+])
+def test_cli_bad_model_parameters_exit_2_with_one_line(tmp_path, capsys, kind,
+                                                       parameters_text):
+    mpath = manifest_with_model(tmp_path, kind, parameters_text)
+    assert main(["evaluate", "--manifest", str(mpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_model_factory_checks_parameters_like_the_manifest():
+    with pytest.raises(ValueError, match="unknown toy_trained parameter 'bogus'"):
+        model_factory("toy_trained", {"bogus": 1}, 0)
+    with pytest.raises(ValueError, match="k must be at least 0"):
+        model_factory("scripted_waitk", {"k": -1}, 0)
+
+
+def test_cli_vocab_map_missing_payload_fails_instances(tmp_path, capsys):
+    mpath = manifest_with_model(tmp_path, "scripted_waitk", '{"vocab_map": {"1": 2}}')
+    assert main(["evaluate", "--manifest", str(mpath)]) == 1
+    err = capsys.readouterr().err
+    assert "missing from vocab_map" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("chunk_ms", ["nan", "inf"])
+def test_cli_gen_non_finite_chunk_ms_exits_2(tmp_path, capsys, chunk_ms):
+    out = tmp_path / "c.jsonl"
+    assert main(["gen", "--out", str(out), "--chunk-ms", chunk_ms]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--learning-rate", "--lambda-latency",
+                                  "--lambda-variance"])
+def test_cli_train_toy_nan_exits_2(tmp_path, capsys, flag):
+    out = tmp_path / "summary.jsonl"
+    assert main(["train-toy", "--steps", "5", flag, "nan",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_sweep_trace_dir_keeps_every_threshold(tmp_path):
+    mpath = cli_manifest(tmp_path, sweep=(0.4, 0.7))
+    tdir = tmp_path / "sweep-traces"
+    assert main(["sweep", "--manifest", str(mpath), "--trace-dir", str(tdir),
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    for t in ("0.4", "0.7"):
+        edir = tmp_path / f"eval-{t}"
+        assert main(["evaluate", "--manifest", str(mpath), "--threshold", t,
+                     "--trace-dir", str(edir),
+                     "--out", str(tmp_path / "e.csv")]) == 0
+        swept = tdir / f"threshold-{float(t):.6f}"
+        names = sorted(p.name for p in edir.glob("*.jsonl"))
+        assert len(names) == 6
+        assert sorted(p.name for p in swept.glob("*.jsonl")) == names
+        for name in names:
+            assert (swept / name).read_bytes() == (edir / name).read_bytes()
+
+
+@pytest.mark.parametrize("iid", ["", ".", "..", "../escaped", "a/b", "a\\b"])
+def test_load_rejects_id_that_is_not_a_file_name(tmp_path, iid):
+    good = {"id": "ok", "source": [{"dur_ms": 10, "token": 1}], "reference": [1]}
+    p = write_jsonl(tmp_path / "ids.jsonl", [good, dict(good, id=iid)])
+    with pytest.raises(CorpusError, match=":2:.*plain file name"):
+        load_instances(p)
+
+
+def test_cli_escaping_id_writes_no_trace(tmp_path, capsys):
+    entry = {"id": "../escaped", "source": [{"dur_ms": 10, "token": 1}],
+             "reference": [1]}
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", [entry])
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"instances": corpus.name}), encoding="utf-8")
+    tdir = tmp_path / "traces"
+    assert main(["evaluate", "--manifest", str(mpath),
+                 "--trace-dir", str(tdir)]) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "escaped.jsonl").exists()
+    assert not tdir.exists()
+
+
+# -- parser fuzz --------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+numbers = (st.integers(0, 300) | st.floats(0.0, 2.0)
+           | st.sampled_from([-1, float("nan"), float("inf"), True, "1"]))
+parameter_keys = st.sampled_from(["k", "vocab_map", "heads", "temperature", "d",
+                                  "d_k", "d_v", "steps", "learning_rate",
+                                  "vocab", "source_len", "target_len",
+                                  "lambda_latency", "lambda_variance",
+                                  "train_seed", "bogus"])
+runtime_keys = st.sampled_from(["threshold", "min_unit_chunk",
+                                "units_per_token", "unit_duration_s",
+                                "max_target_len", "bogus"])
+manifest_keys = st.sampled_from(["instances", "model", "runtime", "sweep",
+                                 "seed"])
+shaped_manifests = st.fixed_dictionaries({
+    "instances": st.just("corpus.jsonl"),
+}, optional={
+    "model": st.fixed_dictionaries({}, optional={
+        "kind": st.sampled_from(["scripted_waitk", "scripted_stochastic",
+                                 "toy_trained", "oracle"]),
+        "parameters": st.dictionaries(parameter_keys, numbers, max_size=2)}),
+    "runtime": st.dictionaries(runtime_keys, numbers, max_size=2),
+    "sweep": st.lists(numbers, max_size=3),
+    "seed": numbers,
+})
+manifests = st.one_of(shaped_manifests,
+                      st.dictionaries(manifest_keys, json_values), json_values)
+
+
+def one_line(exc) -> bool:
+    return "\n" not in str(exc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    copy_corpus_path(directory, n=1)
+    return directory
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw=manifests)
+def test_fuzz_manifest_valid_or_one_line_value_error(fuzz_dir, raw):
+    path = fuzz_dir / "manifest.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    try:
+        manifest = Manifest.from_file(path)
+    except ValueError as exc:
+        assert one_line(exc)
+        return
+    assert isinstance(manifest, Manifest)
+
+
+instance_keys = st.sampled_from(["id", "source", "reference"])
+shaped_instances = st.fixed_dictionaries({
+    "id": st.text(max_size=3) | st.integers(),
+    "source": st.lists(st.fixed_dictionaries({"dur_ms": numbers,
+                                              "token": numbers}), max_size=3),
+    "reference": st.lists(numbers, max_size=3),
+})
+instances = st.one_of(shaped_instances,
+                      st.dictionaries(instance_keys, json_values), json_values)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lines=st.lists(instances.map(json.dumps) | st.text(max_size=8),
+                      max_size=3))
+def test_fuzz_load_instances_valid_or_one_line_corpus_error(fuzz_dir, lines):
+    path = fuzz_dir / "instances.jsonl"
+    path.write_text("\n".join(line.replace("\n", " ") for line in lines),
+                    encoding="utf-8")
+    try:
+        loaded = load_instances(path)
+    except CorpusError as exc:
+        assert one_line(exc)
+        return
+    assert all(isinstance(inst, StreamInstance) for inst in loaded)

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from emma_stream.errors import ProtocolError
 from emma_stream.runtime import (EOS_TOKEN, READ, WRITE, RuntimeConfig,
-                                 SourceChunk, StreamInstance, StreamSession,
-                                 decide, run_stream, scripted_probability_model,
+                                 SourceChunk, StreamInstance, decide,
+                                 run_stream, scripted_probability_model,
                                  scripted_waitk_model, trace_to_lines)
 
 
@@ -124,12 +123,46 @@ def test_no_output_trace_has_only_reads_and_finish():
     assert trace.events[-1].kind == "FINISH"
 
 
-# -- drain and termination ----------------------------------------------------
+# -- one query per state and termination --------------------------------------
 
-def test_drain_requires_exhausted_source():
-    session = StreamSession(offline_model(), instance_of(3), RuntimeConfig())
-    with pytest.raises(ProtocolError):
-        session.drain()
+class CountingModel:
+    """Wraps a model; records the (written, consumed) state of every query."""
+
+    def __init__(self, model):
+        self.model = model
+        self.consumed = 0
+        self.queries = []
+
+    def encode_prefix(self, chunks):
+        self.consumed = len(chunks)
+        return self.model.encode_prefix(chunks)
+
+    def head_probabilities(self, states, prefix):
+        self.queries.append((len(prefix), self.consumed))
+        return self.model.head_probabilities(states, prefix)
+
+    def next_token(self, states, prefix):
+        return self.model.next_token(states, prefix)
+
+
+@pytest.mark.parametrize("model", [
+    scripted_waitk_model(0), scripted_waitk_model(2), scripted_waitk_model(9),
+    scripted_probability_model(lambda w, c: [0.0]),
+    scripted_probability_model(lambda w, c: [1.0]),
+    scripted_probability_model(lambda w, c: [0.4 + 0.3 * ((w + 2 * c) % 2)]),
+])
+def test_each_state_queried_once_and_never_after_exhaustion(model):
+    inst = instance_of(6)
+    counting = CountingModel(model)
+    trace = run_stream(counting, inst, RuntimeConfig())
+    assert trace.outputs == [100 + j for j in range(6)]
+    assert len(counting.queries) == len(set(counting.queries))
+    assert all(consumed < 6 for _, consumed in counting.queries)
+    # every decision before exhaustion is one query: reads after the
+    # first plus writes made while source remained
+    reads = sum(e.kind == "READ" for e in trace.events)
+    early_writes = sum(1 for d in trace.delays if d < inst.source_duration_s)
+    assert len(counting.queries) == reads - 1 + early_writes
 
 
 def test_nonterminating_model_capped_and_flagged():
