@@ -84,24 +84,25 @@ def _score_instance(instance: StreamInstance, factory, config, trace_dir):
                    instance.reference)
 
 
-def evaluate_corpus(manifest: Manifest, *, threshold: float | None = None,
-                    workers: int = 1, trace_dir=None) -> CorpusResult:
-    """Stream every instance, score it, aggregate in instance-id order.
+def _prepare(manifest: Manifest, workers: int):
+    """The instances and the model factory of one top-level call.
 
-    Per-instance failures are recorded, not fatal; a corpus where every
-    instance failed raises CorpusError. The reduction sorts by instance id,
-    so the result does not depend on worker scheduling.
+    ``load_instances`` and ``model_factory`` are looked up in this module's
+    globals at call time, so callers can swap them (tracing does).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     instances = load_instances(manifest.instances)
     if not instances:
         raise CorpusError(f"no instances in {manifest.instances}")
-    config = manifest.runtime
-    if threshold is not None:
-        config = replace(config, threshold=float(threshold))
     factory = model_factory(manifest.model_kind, manifest.model_parameters,
                             manifest.seed)
+    return instances, factory
+
+
+def _score_corpus(instances, factory, config, workers: int,
+                  trace_dir) -> CorpusResult:
+    """Stream every instance at ``config``, aggregate in instance-id order."""
 
     def score(instance):
         try:
@@ -130,18 +131,38 @@ def evaluate_corpus(manifest: Manifest, *, threshold: float | None = None,
                         failures=failures)
 
 
+def evaluate_corpus(manifest: Manifest, *, threshold: float | None = None,
+                    workers: int = 1, trace_dir=None) -> CorpusResult:
+    """Stream every instance, score it, aggregate in instance-id order.
+
+    Per-instance failures are recorded, not fatal; a corpus where every
+    instance failed raises CorpusError. The reduction sorts by instance id,
+    so the result does not depend on worker scheduling.
+    """
+    instances, factory = _prepare(manifest, workers)
+    config = manifest.runtime
+    if threshold is not None:
+        config = replace(config, threshold=float(threshold))
+    return _score_corpus(instances, factory, config, workers, trace_dir)
+
+
 def threshold_sweep(manifest: Manifest, *, workers: int = 1,
                     trace_dir=None) -> SweepReport:
-    """One evaluate_corpus per sweep threshold, rows sorted by threshold.
+    """One corpus score per sweep threshold, rows sorted by threshold.
 
-    Traces of threshold t go to ``trace_dir/threshold-<t:.6f>/``.
+    The instances are loaded and the model factory is built (for
+    ``toy_trained``: trained) once for the whole sweep; each row equals
+    ``evaluate_corpus(manifest, threshold=t).to_row()``. Traces of
+    threshold t go to ``trace_dir/threshold-<t:.6f>/``.
     """
     thresholds = sorted(manifest.sweep)
     if len(thresholds) < 2:
         raise ValueError("a sweep needs at least two thresholds")
+    instances, factory = _prepare(manifest, workers)
     rows = tuple(
-        evaluate_corpus(manifest, threshold=t, workers=workers,
-                        trace_dir=None if trace_dir is None
-                        else Path(trace_dir) / f"threshold-{t:.6f}").to_row()
+        _score_corpus(instances, factory,
+                      replace(manifest.runtime, threshold=float(t)), workers,
+                      None if trace_dir is None
+                      else Path(trace_dir) / f"threshold-{t:.6f}").to_row()
         for t in thresholds)
     return SweepReport(rows=rows)

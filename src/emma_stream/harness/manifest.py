@@ -26,6 +26,8 @@ class Manifest:
 
     def __post_init__(self):
         model_parameters(self.model_kind, self.model_parameters)
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed!r}")
         for t in self.sweep:
             if not 0.0 < t < 1.0:
                 raise ValueError(f"sweep threshold {t} outside (0,1)")
@@ -48,6 +50,8 @@ class Manifest:
             instances = path.parent / instances
         if not instances.exists():
             raise ValueError(f"instance file does not exist: {instances}")
+        if not instances.is_file():
+            raise ValueError(f"instances must name a regular file: {instances}")
         model = _object(raw.get("model", {}), "model")
         sweep = raw.get("sweep", [])
         if not isinstance(sweep, list):
@@ -182,7 +186,9 @@ def load_instances(path: str | Path) -> list[StreamInstance]:
 
 
 def _parse_instance(raw: dict) -> StreamInstance:
-    iid = str(raw["id"])
+    iid = raw["id"]
+    if not isinstance(iid, str):
+        raise ValueError(f"instance id must be a string, got {iid!r}")
     if iid in ("", ".", "..") or "/" in iid or "\\" in iid:
         raise ValueError(f"instance id {iid!r} is not a plain file name")
     source = raw["source"]

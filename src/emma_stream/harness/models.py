@@ -81,6 +81,13 @@ class ToyPolicyModel(CopyModel):
     token embeds identically in every instance); the decoder state embeds
     from (position, last committed token). The stepwise probability of each
     head is evaluated against the row of the latest consumed payload.
+
+    Each head's projected rows are cached: key rows ``ffn_h(embed(payload))``
+    by payload, query rows ``ffn_s(embed(position, last token))`` by that
+    pair, so a query is two lookups and one dot product per head. The
+    probabilities depend only on (written, last token, last payload), never
+    on the instance, so one model serves a whole corpus and may be shared
+    by threads: a race can only compute the same row twice.
     """
 
     def __init__(self, heads: list[PolicyHeadParams], d: int, seed: int):
@@ -90,34 +97,38 @@ class ToyPolicyModel(CopyModel):
         self.n_heads = len(self.heads)
         self.d = d
         self.seed = seed
-        self._src_cache: dict[int, np.ndarray] = {}
-        self._dec_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._key_cache: dict[int, tuple[np.ndarray, ...]] = {}
+        self._query_cache: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
-    def _embed_source(self, payload: int) -> np.ndarray:
-        if payload not in self._src_cache:
-            rng = _hash_rng(self.seed, "src", payload)
-            self._src_cache[payload] = rng.standard_normal((1, self.d))
-        return self._src_cache[payload]
+    def _key_rows(self, payload: int) -> tuple[np.ndarray, ...]:
+        rows = self._key_cache.get(payload)
+        if rows is None:
+            h_row = _hash_rng(self.seed, "src", payload).standard_normal((1, self.d))
+            rows = tuple(head.ffn_h.apply(h_row).T for head in self.heads)
+            self._key_cache[payload] = rows
+        return rows
 
-    def _embed_decoder(self, prefix: Sequence[int]) -> np.ndarray:
+    def _query_rows(self, prefix: Sequence[int]) -> tuple[np.ndarray, ...]:
         key = (len(prefix), prefix[-1] if prefix else EOS_TOKEN)
-        if key not in self._dec_cache:
-            rng = _hash_rng(self.seed, "dec", *key)
-            self._dec_cache[key] = rng.standard_normal((1, self.d))
-        return self._dec_cache[key]
+        rows = self._query_cache.get(key)
+        if rows is None:
+            s_row = _hash_rng(self.seed, "dec", *key).standard_normal((1, self.d))
+            rows = tuple(head.ffn_s.apply(s_row) for head in self.heads)
+            self._query_cache[key] = rows
+        return rows
 
     def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
-        s_row = self._embed_decoder(prefix)
-        h_last = self._embed_source(states[-1])
-        ps = []
-        for head in self.heads:
-            energy = (head.ffn_s.apply(s_row) @ head.ffn_h.apply(h_last).T).item()
-            ps.append(_sigmoid((energy + head.bias) / head.temperature))
-        return ps
+        return [_sigmoid(((q @ k).item() + head.bias) / head.temperature)
+                for head, q, k in zip(self.heads, self._query_rows(prefix),
+                                      self._key_rows(states[-1]))]
 
 
 def model_factory(kind: str, parameters: dict, seed: int) -> Callable[[StreamInstance], IncrementalModel]:
-    """Per-instance model constructor for a manifest's model block."""
+    """Per-instance model constructor for a manifest's model block.
+
+    ``toy_trained`` trains once here and returns the same model for every
+    instance, so its row caches live as long as the returned constructor.
+    """
     values = model_parameters(kind, parameters)
     if kind == "scripted_waitk":
         return lambda inst: scripted_waitk_model(values["k"], values["vocab_map"])
@@ -126,4 +137,5 @@ def model_factory(kind: str, parameters: dict, seed: int) -> Callable[[StreamIns
             seed, inst.id, values["heads"], values["temperature"])
     from .training import trained_heads_for_model
     heads, d = trained_heads_for_model(values, seed)
-    return lambda inst: ToyPolicyModel(heads, d, seed)
+    model = ToyPolicyModel(heads, d, seed)
+    return lambda inst: model

@@ -2,21 +2,27 @@
 
 import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from emma_stream.emma.params import LossWeights
+from emma_stream.emma.alignment import stepwise_probability
+from emma_stream.emma.params import EncDecStates, LossWeights
 from emma_stream.errors import CorpusError, TrainingDivergedError
 from emma_stream.harness import (COLUMNS, Manifest, SweepReport, SweepRow,
                                  evaluate_corpus, generate_corpus,
                                  load_instances, model_factory,
                                  render_report, threshold_sweep,
                                  train_toy_policy, write_corpus)
+from emma_stream.harness import evaluate
 from emma_stream.harness.cli import main
+from emma_stream.harness.models import ToyPolicyModel, _hash_rng
 from emma_stream.harness.training import ToyTrainConfig, train_single
-from emma_stream.runtime import RuntimeConfig, StreamInstance
+from emma_stream.runtime import (EOS_TOKEN, RuntimeConfig, StreamInstance,
+                                 run_stream)
 
 
 def write_jsonl(path, entries):
@@ -233,6 +239,108 @@ def test_sweep_needs_two_thresholds(tmp_path):
     m = Manifest(instances=corpus, sweep=(0.5,))
     with pytest.raises(ValueError, match="two thresholds"):
         threshold_sweep(m)
+
+
+# -- shared toy model and sweep reuse -----------------------------------------
+
+def toy_manifest(tmp_path, n=6):
+    corpus = copy_corpus_path(tmp_path, n=n, length=7, chunk_ms=40.0)
+    return Manifest(instances=corpus, model_kind="toy_trained",
+                    model_parameters={"steps": 20}, sweep=(0.3, 0.5, 0.7, 0.9),
+                    seed=7)
+
+
+class RecordingModel:
+    """Proxy that notes every policy query and its answer."""
+
+    def __init__(self, model):
+        self.model = model
+        self.queries = []
+
+    def encode_prefix(self, chunks):
+        return self.model.encode_prefix(chunks)
+
+    def head_probabilities(self, states, prefix):
+        ps = self.model.head_probabilities(states, prefix)
+        self.queries.append((states, tuple(prefix), ps))
+        return ps
+
+    def next_token(self, states, prefix):
+        return self.model.next_token(states, prefix)
+
+
+def shared_toy_queries(manifest, threshold):
+    """Every (states, prefix, probabilities) of a real run of each instance
+    with one model built by the factory."""
+    factory = model_factory(manifest.model_kind, manifest.model_parameters,
+                            manifest.seed)
+    instances = load_instances(manifest.instances)
+    shared = factory(instances[0])
+    assert all(factory(inst) is shared for inst in instances)
+    runs = []
+    for inst in instances:
+        recorder = RecordingModel(shared)
+        run_stream(recorder, inst, replace(manifest.runtime, threshold=threshold))
+        runs.append(recorder.queries)
+    return shared, runs
+
+
+def test_shared_toy_model_matches_a_fresh_model_per_instance(tmp_path):
+    manifest = toy_manifest(tmp_path)
+    shared, runs = shared_toy_queries(manifest, 0.5)
+    assert sum(len(queries) for queries in runs) > len(runs)
+    for queries in runs:
+        fresh = ToyPolicyModel(shared.heads, shared.d, shared.seed)
+        for states, prefix, ps in queries:
+            assert fresh.head_probabilities(states, prefix) == ps
+
+
+def test_toy_model_probabilities_are_the_stepwise_formula(tmp_path):
+    manifest = toy_manifest(tmp_path)
+    shared, runs = shared_toy_queries(manifest, 0.7)
+    checked = 0
+    for queries in runs:
+        for states, prefix, ps in queries:
+            if len(prefix) >= len(states):
+                continue  # nothing left to copy: every head answers 0
+            last = (len(prefix), prefix[-1] if prefix else EOS_TOKEN)
+            h = _hash_rng(shared.seed, "src", states[-1]).standard_normal((1, shared.d))
+            s = _hash_rng(shared.seed, "dec", *last).standard_normal((1, shared.d))
+            rows = EncDecStates(h=h, s=s, v=np.zeros((1, 1)))
+            expected = [stepwise_probability(head, rows).item()
+                        for head in shared.heads]
+            assert ps == pytest.approx(expected, rel=0.0, abs=1e-12)
+            checked += 1
+    assert checked > 0
+
+
+def test_sweep_loads_and_builds_the_model_once(tmp_path, monkeypatch):
+    manifest = toy_manifest(tmp_path)
+    calls = {"load_instances": 0, "model_factory": 0}
+
+    def counted(name):
+        original = getattr(evaluate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(evaluate, name, wrapper)
+
+    counted("load_instances")
+    counted("model_factory")
+    rows = threshold_sweep(manifest).rows
+    assert calls == {"load_instances": 1, "model_factory": 1}
+    monkeypatch.undo()
+    assert rows == tuple(evaluate_corpus(manifest, threshold=t).to_row()
+                         for t in sorted(manifest.sweep))
+
+
+def test_toy_trained_reports_identical_with_1_and_2_workers(tmp_path):
+    manifest = toy_manifest(tmp_path, n=8)
+    for run in (evaluate_corpus, threshold_sweep):
+        texts = {render_report(run(manifest, workers=w), format="json")
+                 for w in (1, 2)}
+        assert len(texts) == 1
 
 
 # -- toy training -------------------------------------------------------------
@@ -466,6 +574,9 @@ def test_cli_corrupt_corpus_exits_1(tmp_path, capsys):
     ("runtime", {"threshold": "0.5"}),
     ("sweep", [0.4, [0.6]]),
     ("seed", None),
+    ("instances", ""),
+    ("instances", "."),
+    ("seed", -1),
 ])
 def test_cli_malformed_manifest_exits_2_with_one_line(tmp_path, capsys,
                                                       field, value):
@@ -477,6 +588,7 @@ def test_cli_malformed_manifest_exits_2_with_one_line(tmp_path, capsys,
     assert main([command, "--manifest", str(mpath)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
 
 
 @pytest.mark.parametrize("dur_ms", ["1e400", "true"])
@@ -602,6 +714,27 @@ def test_cli_escaping_id_writes_no_trace(tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 1
     assert not (tmp_path / "escaped.jsonl").exists()
     assert not tdir.exists()
+
+
+@pytest.mark.parametrize("iid", [None, 7, ["a"]])
+def test_cli_id_that_is_not_a_string_exits_1(tmp_path, capsys, iid):
+    good = {"id": "ok", "source": [{"dur_ms": 10, "token": 1}], "reference": [1]}
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", [good, dict(good, id=iid)])
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"instances": corpus.name}), encoding="utf-8")
+    tdir = tmp_path / "traces"
+    assert main(["evaluate", "--manifest", str(mpath),
+                 "--trace-dir", str(tdir)]) == 1
+    err = capsys.readouterr().err
+    assert ":2:" in err and "must be a string" in err and err.count("\n") == 1
+    assert not tdir.exists()
+
+
+def test_cli_negative_seed_override_exits_2_naming_seed(tmp_path, capsys):
+    mpath = cli_manifest(tmp_path)
+    assert main(["sweep", "--manifest", str(mpath), "--seed", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed ") and err.count("\n") == 1
 
 
 # -- parser fuzz --------------------------------------------------------------
