@@ -81,4 +81,4 @@ def alignment_parallel(p, force_last_column: bool = False) -> np.ndarray:
     With ``force_last_column`` the final source position absorbs all
     remaining mass (p[:, -1] treated as 1), so each row sums to one exactly.
     """
-    return alignment_forward(_check_probability(p), force_last_column)[0]
+    return alignment_forward(_check_probability(p)[None], force_last_column)[0][0]

@@ -4,8 +4,7 @@ Each builder records onto a :class:`~emma_stream.numerics.tape.Tape` the same
 composition the plain-array functions in :mod:`alignment`, :mod:`attention`
 and :mod:`losses` evaluate, so the objective's gradients come from the exact
 graph whose value is reported. The alignment and the lookback attention need
-no builder: each is one tape op. tanh is not a tape primitive; it is composed
-as 2*sigmoid(2x) - 1.
+no builder: each is one tape op over all heads.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from .params import PolicyHeadParams
 
 __all__ = [
     "HeadLeaves",
-    "tanh_node",
     "feedforward_nodes",
     "head_leaves",
     "stepwise_nodes",
@@ -28,25 +26,16 @@ __all__ = [
 ]
 
 
-def tanh_node(t: Tape, x: Node) -> Node:
-    return t.shift(t.scale(t.sigmoid(t.scale(x, 2.0)), 2.0), -1.0)
-
-
 def feedforward_nodes(t: Tape, x: Node, weights: list[Node],
                       biases: list[Node]) -> Node:
-    """x @ W_k + b_k per layer, tanh between layers, none after the last.
-
-    The 1 x out bias rows are lifted to full matrices with a ones-column
-    product; the catalog has no broadcasting.
-    """
-    rows = x.shape[0]
-    ones_col = t.constant(np.ones((rows, 1)))
+    """x @ W_k + b_k per layer, tanh between layers, none after the last:
+    the formula of :meth:`~emma_stream.emma.params.FeedForward.apply`."""
     out = x
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, biases)):
-        out = t.add(t.matmul(out, w), t.matmul(ones_col, b))
+        out = t.add_bias(t.matmul(out, w), b)
         if k < last:
-            out = tanh_node(t, out)
+            out = t.tanh(out)
     return out
 
 
@@ -93,10 +82,7 @@ def stepwise_nodes(t: Tape, leaves: HeadLeaves, s: Node, h: Node) -> Node:
     fs = feedforward_nodes(t, s, leaves.ffn_s_weights, leaves.ffn_s_biases)
     fh = feedforward_nodes(t, h, leaves.ffn_h_weights, leaves.ffn_h_biases)
     energy = t.matmul(fs, t.transpose(fh))
-    n_target, n_source = energy.shape
-    bias_full = t.matmul(t.matmul(t.constant(np.ones((n_target, 1))), leaves.bias),
-                         t.constant(np.ones((1, n_source))))
-    return t.sigmoid(t.scale(t.add(energy, bias_full), 1.0 / leaves.temperature))
+    return t.sigmoid(t.scale(t.add_bias(energy, leaves.bias), 1.0 / leaves.temperature))
 
 
 def energy_nodes(t: Tape, leaves: HeadLeaves, s: Node, h: Node) -> Node:

@@ -67,46 +67,33 @@ def emma_objective(heads: list[PolicyHeadParams], states: EncDecStates,
     t = Tape()
     s_const = t.constant(states.s)
     h_const = t.constant(states.h)
-    v_const = t.constant(states.v)
+    n_heads = len(heads)
     n_target, n_source = states.target_len, states.source_len
     positions = np.arange(1.0, n_source + 1.0).reshape(n_source, 1)
-    pos_node = t.constant(positions)
-    pos_sq_node = t.constant(positions * positions)
-    ideal_col = t.constant(ideal.reshape(n_target, 1))
 
-    all_leaves = []
-    attn_sum = lat_sum = var_sum = None
-    delay_rows = []
-    for hp in heads:
-        leaves = graph.head_leaves(t, hp)
-        all_leaves.append(leaves)
-        p = graph.stepwise_nodes(t, leaves, s_const, h_const)
-        alpha = t.monotonic_alignment(p, force_last_column)
-        e = graph.energy_nodes(t, leaves, s_const, h_const)
-        beta = t.lookback_attention(alpha, e)
-        attn = t.matmul(beta, v_const)
-        delays = t.matmul(alpha, pos_node)
-        lat = graph.mean_node(t, t.sub(delays, ideal_col))
-        spread = t.sub(t.matmul(alpha, pos_sq_node), t.mul(delays, delays))
-        var = graph.mean_node(t, spread)
-        attn_sum = attn if attn_sum is None else t.add(attn_sum, attn)
-        lat_sum = lat if lat_sum is None else t.add(lat_sum, lat)
-        var_sum = var if var_sum is None else t.add(var_sum, var)
-        delay_rows.append(delays.value.ravel())
+    all_leaves = [graph.head_leaves(t, hp) for hp in heads]
+    p = [graph.stepwise_nodes(t, leaves, s_const, h_const) for leaves in all_leaves]
+    e = [graph.energy_nodes(t, leaves, s_const, h_const) for leaves in all_leaves]
+    # every head's alignment, attention, delays and spread, stacked by row
+    alpha = t.monotonic_alignment(p, force_last_column)
+    attn = t.matmul(t.lookback_attention(alpha, e), t.constant(states.v))
+    delays = t.matmul(alpha, t.constant(positions))
+    spread = t.sub(t.matmul(alpha, t.constant(positions * positions)),
+                   t.mul(delays, delays))
+    ideal_col = t.constant(np.tile(ideal, n_heads).reshape(-1, 1))
+    lat_mean = graph.mean_node(t, t.sub(delays, ideal_col))
+    var_mean = graph.mean_node(t, spread)
+    # the head average [I ... I] / H of the stacked rows, as one matmul
+    head_mean = t.constant(np.tile(np.eye(n_target) / n_heads, n_heads))
+    attn_mean = t.matmul(head_mean, attn)
 
-    n_heads = len(heads)
-    attn_mean = t.scale(attn_sum, 1.0 / n_heads)
     w_out = t.leaf(readout.w_out)
     b_out = t.leaf(readout.b_out)
-    ones_col = t.constant(np.ones((n_target, 1)))
-    logits = t.add(t.matmul(attn_mean, w_out), t.matmul(ones_col, b_out))
+    logits = t.add_bias(t.matmul(attn_mean, w_out), b_out)
     log_probs = t.log(t.row_softmax(logits))
     onehot = np.zeros((n_target, vocab))
     onehot[np.arange(n_target), targets] = 1.0
     nll = t.scale(t.sum(t.mul(t.constant(onehot), log_probs)), -1.0)
-
-    lat_mean = t.scale(lat_sum, 1.0 / n_heads)
-    var_mean = t.scale(var_sum, 1.0 / n_heads)
     loss = t.add(nll, t.add(t.scale(lat_mean, weights.lambda_latency),
                             t.scale(var_mean, weights.lambda_variance)))
 
@@ -123,6 +110,6 @@ def emma_objective(heads: list[PolicyHeadParams], states: EncDecStates,
         nll=nll.item(),
         latency=lat_mean.item(),
         variance=var_mean.item(),
-        delay_mean=float(np.mean(np.concatenate(delay_rows))),
+        delay_mean=float(np.mean(delays.value)),
         gradient=gradient,
     )

@@ -13,9 +13,13 @@ The alignment is the division-free scan, for every target row i,
 with alpha[-1] the one-hot start at source position 0. Cell (i, j) depends
 on (i-1, j) and (i, j-1), so every cell of one anti-diagonal i + j is
 independent of the others: the scan runs one numpy step per anti-diagonal,
-O(|y| + |x|) steps and O(|y| |x|) work, and the adjoint runs the same
-wavefront in reverse. Anti-diagonal c = i + j + 1 is row c of a "skewed"
-array, so each step reads and writes contiguous slices.
+O(|y| + |x|) steps and O(|y| (|y| + |x|)) work, and the adjoint runs the
+same wavefront in reverse. Several heads of one shape share the wavefront:
+anti-diagonal c = i + j + 1 of every head is the (H, |y|) slab c of a
+"skewed" array, so each step reads and writes whole contiguous slabs.
+
+The lookback attention is row-wise, so H heads stacked by row (an
+H |y| x |x| matrix) go through it as one matrix.
 """
 
 from __future__ import annotations
@@ -32,73 +36,79 @@ __all__ = [
 
 
 def _skewed(buf: np.ndarray, n_source: int, first_col: int = 0) -> np.ndarray:
-    """|y| x |x| view with view[i, j] = buf[i + j + 1, i + first_col].
+    """H x |y| x |x| view with view[h, i, j] = buf[i + j + 1, h, i + first_col].
 
-    ``buf`` is C-contiguous with at least |y| + |x| rows and
-    |y| + first_col columns, so the view stays inside it.
+    ``buf`` is C-contiguous, laid out (diagonal, head, target row), with at
+    least |y| + |x| diagonals and |y| + first_col columns, so the view stays
+    inside it.
     """
-    n_target = buf.shape[1] - first_col
-    row, col = buf.strides
-    return as_strided(buf[1:, first_col:], shape=(n_target, n_source),
-                      strides=(row + col, row))
-
-
-def _diagonals(n_target: int, n_source: int) -> list[tuple[int, int, int]]:
-    """(c, lo, hi) per anti-diagonal c >= 1: target rows [lo, hi) have a cell on it."""
-    return [(c, max(0, c - n_source), min(n_target, c))
-            for c in range(1, n_target + n_source)]
+    n_target = buf.shape[2] - first_col
+    diag, head, col = buf.strides
+    return as_strided(buf[1:, :, first_col:],
+                      shape=(buf.shape[1], n_target, n_source),
+                      strides=(head, diag + col, diag))
 
 
 def alignment_forward(p: np.ndarray, force_last_column: bool = False):
-    """Expected monotonic alignment of stepwise probabilities ``p``.
+    """Expected monotonic alignment of H stacked stepwise probability
+    matrices ``p`` (H x |y| x |x|), one wavefront for all heads.
 
-    Returns ``(alpha, ps, qs)``: the |y| x |x| alignment, and p and the scan
-    state q in skewed layout for the adjoint. With ``force_last_column`` the
-    final source position absorbs the remaining mass (p[:, -1] taken as 1).
+    Returns ``(alpha, ps, qs)``: the H x |y| x |x| alignments, and p and the
+    scan state q in skewed layout for the adjoint. With ``force_last_column``
+    the final source position absorbs the remaining mass (p[..., -1] taken
+    as 1).
+
+    Each step updates one whole (H, |y|) diagonal slab. Its cells off the
+    |y| x |x| grid hold p = 0: left of column 0 they keep q = alpha = 0, and
+    right of the last column they never feed a real cell, because cell
+    (i, j) reads only (i, j-1) and (i-1, j).
     """
-    n_target, n_source = p.shape
-    ps = np.zeros((n_target + n_source, n_target))
+    n_heads, n_target, n_source = p.shape
+    ps = np.zeros((n_target + n_source, n_heads, n_target))
     _skewed(ps, n_source)[...] = p
     if force_last_column:
-        _skewed(ps, n_source)[:, -1] = 1.0
+        _skewed(ps, n_source)[..., -1] = 1.0
     stay = 1.0 - ps
     qs = np.zeros_like(ps)
     # column k + 1 holds alpha[k - 1]; column 0 the one-hot start alpha[-1]
-    alphas = np.zeros((n_target + n_source, n_target + 1))
-    alphas[0, 0] = 1.0
-    for c, lo, hi in _diagonals(n_target, n_source):
-        q = qs[c, lo:hi]
-        np.multiply(stay[c - 1, lo:hi], qs[c - 1, lo:hi], out=q)
-        q += alphas[c - 1, lo:hi]
-        np.multiply(ps[c, lo:hi], q, out=alphas[c, lo + 1:hi + 1])
+    alphas = np.zeros((n_target + n_source, n_heads, n_target + 1))
+    alphas[0, :, 0] = 1.0
+    for c in range(1, n_target + n_source):
+        q = qs[c]
+        np.multiply(stay[c - 1], qs[c - 1], out=q)
+        q += alphas[c - 1, :, :-1]
+        np.multiply(ps[c], q, out=alphas[c, :, 1:])
     return _skewed(alphas, n_source, 1).copy(), ps, qs
 
 
 def alignment_adjoint(ps: np.ndarray, qs: np.ndarray, grad: np.ndarray,
                       force_last_column: bool = False) -> np.ndarray:
-    """Gradient with respect to p from the reverse wavefront, given the
-    skewed ``ps`` and ``qs`` of :func:`alignment_forward`.
+    """Gradient with respect to the H x |y| x |x| stacked p from the reverse
+    wavefront, given the skewed ``ps`` and ``qs`` of :func:`alignment_forward`.
 
     With A = grad[i, j] + Q[i+1, j] the total adjoint of alpha[i, j], Q the
     adjoint of q and D = A - Q[i, j+1], walking anti-diagonals from the last:
 
         dp[i, j] = q[i, j] D,    Q[i, j] = Q[i, j+1] + p[i, j] D.
+
+    Off-grid cells have p = 0 and grad = 0, so Q right of the last column
+    stays 0, and nothing left of column 0 reaches a real cell.
     """
-    n_target, n_source = grad.shape
+    n_heads, n_target, n_source = grad.shape
     gs = np.zeros_like(ps)
     _skewed(gs, n_source)[...] = grad
-    q_adj = np.zeros((n_target + n_source + 1, n_target + 1))
+    q_adj = np.zeros((n_target + n_source + 1, n_heads, n_target + 1))
     p_adj = np.zeros_like(ps)
-    for c, lo, hi in reversed(_diagonals(n_target, n_source)):
-        after = q_adj[c + 1, lo:hi]
-        d = gs[c, lo:hi] + q_adj[c + 1, lo + 1:hi + 1]
+    for c in range(n_target + n_source - 1, 0, -1):
+        after = q_adj[c + 1, :, :-1]
+        d = gs[c] + q_adj[c + 1, :, 1:]
         d -= after
-        np.multiply(qs[c, lo:hi], d, out=p_adj[c, lo:hi])
-        np.multiply(ps[c, lo:hi], d, out=d)
-        np.add(after, d, out=q_adj[c, lo:hi])
+        np.multiply(qs[c], d, out=p_adj[c])
+        np.multiply(ps[c], d, out=d)
+        np.add(after, d, out=q_adj[c, :, :-1])
     out = _skewed(p_adj, n_source).copy()
     if force_last_column:
-        out[:, -1] = 0.0
+        out[..., -1] = 0.0
     return out
 
 

@@ -4,8 +4,10 @@ A :class:`Tape` records every primitive application as a :class:`Node`
 holding the operation kind, parent indices, and the forward value.  Nodes
 are appended in execution order, so the list is always topologically
 sorted and :meth:`Tape.backward` is a single reverse sweep.  Values are
-2-D float64 arrays, frozen on creation; scalars are 1-by-1 matrices.  An
-op whose adjoint reads forward intermediates keeps them in ``Node.saved``.
+2-D float64 arrays, frozen on creation; scalars are 1-by-1 matrices.
+Shapes must match exactly, except that :meth:`Tape.add_bias` broadcasts a
+row or a scalar.  An op whose adjoint reads forward intermediates keeps
+them in ``Node.saved``.
 
 Only first-order gradients of a single scalar output are supported, and a
 tape must stay on the thread that created it.
@@ -13,7 +15,7 @@ tape must stay on the thread that created it.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -97,42 +99,50 @@ _FORWARD: dict[str, Callable] = {
     "matmul": lambda vs, m: vs[0] @ vs[1],
     "scale": lambda vs, m: vs[0] * m[0],
     "shift": lambda vs, m: vs[0] + m[0],
-    "reciprocal": lambda vs, m: 1.0 / vs[0],
-    "cumprod": lambda vs, m: np.cumprod(vs[0], axis=m[0]),
-    "cumsum": lambda vs, m: np.cumsum(vs[0], axis=m[0]),
-    "triu": lambda vs, m: np.triu(vs[0], k=m[0]),
-    "roll": lambda vs, m: np.roll(vs[0], m[0], axis=1),
-    "flip": lambda vs, m: vs[0][:, ::-1],
+    "add_bias": lambda vs, m: vs[0] + vs[1],
     "sigmoid": lambda vs, m: mx.sigmoid(vs[0]),
+    "tanh": lambda vs, m: np.tanh(vs[0]),
     "exp": lambda vs, m: np.exp(vs[0]),
     "log": lambda vs, m: np.log(vs[0]),
     "row_softmax": lambda vs, m: mx.row_softmax(vs[0]),
     "sum": lambda vs, m: np.array([[vs[0].sum()]]),
-    "row": lambda vs, m: vs[0][m[0]:m[0] + 1, :],
     "vstack": lambda vs, m: np.vstack(vs),
     "transpose": lambda vs, m: vs[0].T.copy(),
-    "monotonic_alignment": lambda vs, m: monotonic.alignment_forward(vs[0], m[0]),
-    "lookback_attention": lambda vs, m: monotonic.lookback_forward(vs[0], vs[1]),
+    "monotonic_alignment": lambda vs, m: _stacked_alignment(vs, m[0]),
+    "lookback_attention": lambda vs, m: _stacked_lookback(vs),
 }
 
 
-def _cumprod_adjoint(x: np.ndarray, grad: np.ndarray, axis: int) -> np.ndarray:
-    """Gradient of cumprod via exclusive prefix products and a suffix scan.
+def _stacked_alignment(ps: list[np.ndarray], force_last_column: bool):
+    """Alignment of every head's p in one wavefront, heads stacked by row."""
+    alpha, *saved = monotonic.alignment_forward(np.stack(ps), force_last_column)
+    return (alpha.reshape(-1, alpha.shape[2]), *saved)
 
-    Division-free, so rows containing exact zeros stay well-defined:
-    d/dx_j = prefix_excl(j) * S_j with S_j = g_j + x_{j+1} * S_{j+1}.
-    """
-    if axis == 0:
-        return _cumprod_adjoint(x.T, grad.T, 1).T
-    n = x.shape[1]
-    prefix = np.ones_like(x)
-    if n > 1:
-        np.cumprod(x[:, :-1], axis=1, out=prefix[:, 1:])
-    suffix = np.empty_like(grad)
-    suffix[:, -1] = grad[:, -1]
-    for j in range(n - 2, -1, -1):
-        suffix[:, j] = grad[:, j] + x[:, j + 1] * suffix[:, j + 1]
-    return prefix * suffix
+
+def _stacked_lookback(vs: list[np.ndarray]):
+    """Lookback of the row-stacked alpha ``vs[0]`` over the heads' energies
+    ``vs[1:]``; keeps the stacked energies for the adjoint."""
+    e = np.concatenate(vs[1:])
+    beta, r, s = monotonic.lookback_forward(vs[0], e)
+    return beta, e, r, s
+
+
+def _stacked_alignment_adjoint(ps, qs, grad: np.ndarray, force_last_column: bool):
+    n_heads, n_target = ps.shape[1:]
+    p_adj = monotonic.alignment_adjoint(
+        ps, qs, grad.reshape(n_heads, n_target, -1), force_last_column)
+    return tuple(p_adj)
+
+
+def _stacked_lookback_adjoint(alpha, e, r, s, grad: np.ndarray, n_heads: int):
+    alpha_adj, e_adj = monotonic.lookback_adjoint(alpha, e, r, s, grad)
+    return (alpha_adj, *np.split(e_adj, n_heads))
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Sum ``grad`` over the axes a 1 x n row or a 1 x 1 scalar was broadcast on."""
+    out = grad.sum(axis=0, keepdims=True)
+    return out.sum(axis=1, keepdims=True) if shape[1] == 1 else out
 
 
 def _softmax_adjoint(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -158,31 +168,20 @@ _BACKWARD: dict[str, Callable] = {
     "matmul": lambda y, g, vs, m, s: (g @ vs[1].T, vs[0].T @ g),
     "scale": lambda y, g, vs, m, s: (g * m[0],),
     "shift": lambda y, g, vs, m, s: (g,),
-    "reciprocal": lambda y, g, vs, m, s: (-g * y * y,),
-    "cumprod": lambda y, g, vs, m, s: (_cumprod_adjoint(vs[0], g, m[0]),),
-    "cumsum": lambda y, g, vs, m, s: (np.flip(np.cumsum(np.flip(g, axis=m[0]), axis=m[0]), axis=m[0]),),
-    "triu": lambda y, g, vs, m, s: (np.triu(g, k=m[0]),),
-    "roll": lambda y, g, vs, m, s: (np.roll(g, -m[0], axis=1),),
-    "flip": lambda y, g, vs, m, s: (g[:, ::-1],),
+    "add_bias": lambda y, g, vs, m, s: (g, _unbroadcast(g, vs[1].shape)),
     "sigmoid": lambda y, g, vs, m, s: (g * y * (1.0 - y),),
+    "tanh": lambda y, g, vs, m, s: (g * (1.0 - y * y),),
     "exp": lambda y, g, vs, m, s: (g * y,),
     "log": lambda y, g, vs, m, s: (g / vs[0],),
     "row_softmax": lambda y, g, vs, m, s: (_softmax_adjoint(y, g),),
     "sum": lambda y, g, vs, m, s: (np.full_like(vs[0], g[0, 0]),),
-    "row": lambda y, g, vs, m, s: (_row_scatter(g, vs[0].shape, m[0]),),
     "vstack": lambda y, g, vs, m, s: _vstack_adjoint(g, m),
     "transpose": lambda y, g, vs, m, s: (g.T.copy(),),
-    "monotonic_alignment": lambda y, g, vs, m, s: (
-        monotonic.alignment_adjoint(s[0], s[1], g, m[0]),),
+    "monotonic_alignment": lambda y, g, vs, m, s:
+        _stacked_alignment_adjoint(s[0], s[1], g, m[0]),
     "lookback_attention": lambda y, g, vs, m, s:
-        monotonic.lookback_adjoint(vs[0], vs[1], s[0], s[1], g),
+        _stacked_lookback_adjoint(vs[0], *s, g, len(vs) - 1),
 }
-
-
-def _row_scatter(grad: np.ndarray, shape: tuple[int, int], i: int) -> np.ndarray:
-    out = np.zeros(shape)
-    out[i, :] = grad[0, :]
-    return out
 
 
 def _forward(op: str, values: list[np.ndarray], meta: tuple):
@@ -250,30 +249,20 @@ class Tape:
     def shift(self, a: Node, c: float) -> Node:
         return self._record("shift", (a,), (float(c),))
 
-    def reciprocal(self, a: Node) -> Node:
-        if np.any(a.value == 0.0):
-            raise DomainError("reciprocal: entries must be non-zero")
-        return self._record("reciprocal", (a,))
-
-    def cumprod(self, a: Node, axis: int = 1) -> Node:
-        mx._check_axis(axis)
-        return self._record("cumprod", (a,), (axis,))
-
-    def cumsum(self, a: Node, axis: int = 1) -> Node:
-        mx._check_axis(axis)
-        return self._record("cumsum", (a,), (axis,))
-
-    def triu(self, a: Node, offset: int = 0) -> Node:
-        return self._record("triu", (a,), (int(offset),))
-
-    def roll(self, a: Node, k: int = 1) -> Node:
-        return self._record("roll", (a,), (int(k),))
-
-    def flip(self, a: Node) -> Node:
-        return self._record("flip", (a,))
+    def add_bias(self, a: Node, b: Node) -> Node:
+        """``a`` plus a 1 x n row ``b`` added to every row, or plus a 1 x 1
+        scalar ``b`` added to every entry."""
+        if b.value.shape not in ((1, a.value.shape[1]), (1, 1)):
+            raise ShapeError(
+                f"add_bias: bias {b.value.shape} is neither a 1x{a.value.shape[1]} "
+                "row nor a 1x1 scalar")
+        return self._record("add_bias", (a, b))
 
     def sigmoid(self, a: Node) -> Node:
         return self._record("sigmoid", (a,))
+
+    def tanh(self, a: Node) -> Node:
+        return self._record("tanh", (a,))
 
     def exp(self, a: Node) -> Node:
         return self._record("exp", (a,))
@@ -293,12 +282,6 @@ class Tape:
         """Total sum as a 1x1 matrix."""
         return self._record("sum", (a,))
 
-    def row(self, a: Node, i: int) -> Node:
-        """Row ``i`` of ``a`` as a 1xN matrix."""
-        if not 0 <= i < a.value.shape[0]:
-            raise ValueError(f"row index {i} out of range for {a.value.shape}")
-        return self._record("row", (a,), (int(i),))
-
     def vstack(self, rows: list[Node]) -> Node:
         if not rows:
             raise ValueError("vstack: need at least one row")
@@ -309,18 +292,37 @@ class Tape:
         return self._record("vstack", tuple(rows),
                             tuple(r.value.shape[0] for r in rows))
 
-    def monotonic_alignment(self, p: Node, force_last_column: bool = False) -> Node:
-        """Expected monotonic alignment of stepwise probabilities ``p``
-        (see :mod:`emma_stream.numerics.monotonic`), recorded as one node."""
-        return self._record("monotonic_alignment", (p,), (bool(force_last_column),))
+    def monotonic_alignment(self, p: Node | Sequence[Node],
+                            force_last_column: bool = False) -> Node:
+        """Expected monotonic alignment of the stepwise probabilities of one
+        head ``p``, or of several same-shape heads, in one wavefront (see
+        :mod:`emma_stream.numerics.monotonic`). Recorded as one node whose
+        value stacks the heads' alignments by row: H |y| x |x|."""
+        heads = (p,) if isinstance(p, Node) else tuple(p)
+        if not heads:
+            raise ValueError("monotonic_alignment: need at least one head")
+        for q in heads[1:]:
+            mx._check_same_shape(heads[0].value, q.value, "monotonic_alignment")
+        return self._record("monotonic_alignment", heads, (bool(force_last_column),))
 
-    def lookback_attention(self, alpha: Node, e: Node) -> Node:
-        """Infinite-lookback attention of ``alpha`` over energies ``e``,
-        recorded as one node."""
-        mx._check_same_shape(alpha.value, e.value, "lookback_attention")
-        if np.any(e.value <= 0.0):
-            raise DomainError("lookback_attention: energies must be strictly positive")
-        return self._record("lookback_attention", (alpha, e))
+    def lookback_attention(self, alpha: Node, e: Node | Sequence[Node]) -> Node:
+        """Infinite-lookback attention of the row-stacked alignments ``alpha``
+        over each head's energies ``e`` (one node, or one per head, in
+        ``alpha``'s row order), recorded as one node shaped like ``alpha``."""
+        heads = (e,) if isinstance(e, Node) else tuple(e)
+        if not heads:
+            raise ValueError("lookback_attention: need at least one head")
+        for energy in heads:
+            mx._check_same_shape(heads[0].value, energy.value, "lookback_attention")
+            if np.any(energy.value <= 0.0):
+                raise DomainError(
+                    "lookback_attention: energies must be strictly positive")
+        rows, cols = heads[0].value.shape
+        if alpha.value.shape != (len(heads) * rows, cols):
+            raise ShapeError(
+                f"lookback_attention: alpha {alpha.value.shape} does not stack "
+                f"{len(heads)} heads of {heads[0].value.shape}")
+        return self._record("lookback_attention", (alpha, *heads))
 
     # -- backward and replay ------------------------------------------------
     def backward(self, output: Node) -> list[np.ndarray]:

@@ -12,6 +12,11 @@ from emma_stream.numerics.monotonic import alignment_forward, lookback_forward
 H = 1e-6
 
 
+def align(p, force_last_column=False):
+    """One head's alignment: the forward's H = 1 case."""
+    return alignment_forward(p[None], force_last_column)[0][0]
+
+
 def probabilities(rng, regime, shape):
     """Stepwise probabilities near 0, near 1, or with exact 0/1 entries."""
     if regime == "near0":
@@ -49,7 +54,7 @@ def test_speech_sizes_finite_with_bounded_mass(n_source, regime):
     e = np.exp(rng.standard_normal((n_target, n_source)))
     w = rng.standard_normal((n_target, n_source))
     for force in (False, True):
-        alpha = alignment_forward(p, force)[0]
+        alpha = align(p, force)
         assert np.all(np.isfinite(alpha))
         assert np.all(alpha >= 0.0)
         mass = alpha.sum(axis=1)
@@ -68,13 +73,13 @@ def test_speech_size_slice_matches_recursive_oracle(regime):
     rng = np.random.default_rng(7 + len(regime))
     p = probabilities(rng, regime, (4, 1024))
     for force in (False, True):
-        got = alignment_forward(p, force)[0]
+        got = align(p, force)
         assert np.abs(got - alignment_recursive(p, force)).max() <= 1e-10
 
 
 def test_lookback_matches_oracle_at_speech_width():
     rng = np.random.default_rng(3)
-    alpha = alignment_forward(probabilities(rng, "exact", (3, 512)))[0]
+    alpha = align(probabilities(rng, "exact", (3, 512)))
     e = np.exp(rng.standard_normal((3, 512)))
     assert np.abs(lookback_forward(alpha, e)[0]
                   - beta_recursive(alpha, e)).max() <= 1e-10
@@ -92,13 +97,13 @@ def test_adjoints_match_central_differences(shape, force):
     align_p, beta_p, beta_e = tape_gradients(p, e, w, force)
 
     def align_loss(theta):
-        return float((alignment_forward(theta.reshape(shape), force)[0] * w).sum())
+        return float((align(theta.reshape(shape), force) * w).sum())
 
     def beta_loss_p(theta):
-        alpha = alignment_forward(theta.reshape(shape), force)[0]
+        alpha = align(theta.reshape(shape), force)
         return float((lookback_forward(alpha, e)[0] * w).sum())
 
-    alpha = alignment_forward(p, force)[0]
+    alpha = align(p, force)
 
     def beta_loss_e(theta):
         return float((lookback_forward(alpha, theta.reshape(shape))[0] * w).sum())
@@ -127,3 +132,77 @@ def test_lookback_op_rejects_bad_energies():
         t.lookback_attention(alpha, t.leaf(np.ones((2, 2))))
     with pytest.raises(DomainError):
         t.lookback_attention(alpha, t.leaf([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (6, 4), (16, 64), (128, 512)])
+@pytest.mark.parametrize("n_heads", [1, 2, 3])
+@pytest.mark.parametrize("force", [False, True])
+def test_multi_head_forward_equals_per_head(shape, n_heads, force):
+    rng = np.random.default_rng(shape[1] * 7 + n_heads + 13 * force)
+    p = probabilities(rng, "exact", (n_heads,) + shape)
+    e = np.exp(rng.standard_normal((n_heads,) + shape))
+    per_head = [align(ph, force) for ph in p]
+    assert np.array_equal(alignment_forward(p, force)[0], np.stack(per_head))
+
+    t = Tape()
+    alpha = t.monotonic_alignment([t.leaf(ph) for ph in p], force)
+    beta = t.lookback_attention(alpha, [t.leaf(eh) for eh in e])
+    assert np.array_equal(alpha.value, np.vstack(per_head))
+    assert np.array_equal(beta.value, np.vstack(
+        [lookback_forward(a, eh)[0] for a, eh in zip(per_head, e)]))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 4), (5, 7)])
+@pytest.mark.parametrize("force", [False, True])
+def test_two_head_adjoints_match_central_differences(shape, force):
+    rng = np.random.default_rng(shape[0] * 17 + shape[1] + 53 * force)
+    n = shape[0] * shape[1]
+    theta = np.concatenate([probabilities(rng, "exact", 2 * n),
+                            np.exp(rng.standard_normal(2 * n))])
+    w_alpha = rng.standard_normal((2 * shape[0], shape[1]))
+    w_beta = rng.standard_normal((2 * shape[0], shape[1]))
+
+    def record(theta):
+        t = Tape()
+        leaves = [t.leaf(part.reshape(shape)) for part in np.split(theta, 4)]
+        alpha = t.monotonic_alignment(leaves[:2], force)
+        beta = t.lookback_attention(alpha, leaves[2:])
+        out = t.add(t.sum(t.mul(alpha, t.constant(w_alpha))),
+                    t.sum(t.mul(beta, t.constant(w_beta))))
+        return t, leaves, out
+
+    t, leaves, out = record(theta)
+    grads = t.backward(out)
+    analytic = np.concatenate([grads[leaf.index].ravel() for leaf in leaves])
+    central = central_difference_gradient(lambda th: record(th)[2].item(), theta, h=H)
+    assert np.allclose(analytic, central, rtol=1e-6, atol=1e-8)
+    if force:
+        for leaf in leaves[:2]:
+            assert np.all(grads[leaf.index][:, -1] == 0.0)
+
+
+def test_multi_head_ops_reject_a_bad_head():
+    t = Tape()
+    p = [t.leaf(np.full((2, 3), 0.4)), t.leaf(np.full((2, 3), 0.6))]
+    alpha = t.monotonic_alignment(p)
+    good = t.leaf(np.ones((2, 3)))
+    with pytest.raises(DomainError):
+        t.lookback_attention(alpha, [good, t.leaf([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]])])
+    with pytest.raises(ShapeError):
+        t.monotonic_alignment([p[0], t.leaf(np.full((2, 4), 0.4))])
+    with pytest.raises(ShapeError):
+        t.lookback_attention(alpha, [good, t.leaf(np.ones((2, 4)))])
+    with pytest.raises(ShapeError):
+        t.lookback_attention(alpha, [good])
+    with pytest.raises(ShapeError):
+        t.lookback_attention(alpha, [good, good, good])
+
+
+def test_multi_head_ops_record_one_node_each():
+    t = Tape()
+    p = [t.leaf(np.full((6, 9), 0.1 * h)) for h in (1, 2, 3)]
+    e = [t.leaf(np.ones((6, 9))) for _ in p]
+    before = len(t)
+    beta = t.lookback_attention(t.monotonic_alignment(p), e)
+    assert len(t) == before + 2
+    assert beta.shape == (18, 9)

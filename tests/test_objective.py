@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from emma_stream.emma import (EncDecStates, LossWeights, Readout,
-                              alignment_parallel, beta_parallel,
-                              emma_objective, pack_parameters,
-                              stepwise_probability, unpack_parameters)
+                              alignment_parallel, alignment_variance,
+                              attention_energies, beta_parallel,
+                              emma_objective, expected_delays, latency_loss,
+                              pack_parameters, stepwise_probability,
+                              unpack_parameters, variance_loss)
 from emma_stream.emma import graph
 from emma_stream.emma.params import (random_head, random_readout,
                                      random_states)
@@ -79,7 +81,6 @@ def test_graph_forward_matches_array_route():
     assert np.abs(p_node.value - p).max() <= 1e-12
     alpha = alignment_parallel(p)
     assert np.abs(alpha_node.value - alpha).max() <= 1e-12
-    from emma_stream.emma import attention_energies
     e = attention_energies(head, states)
     assert np.abs(e_node.value - e).max() <= 1e-12
     assert np.abs(beta_node.value - beta_parallel(alpha, e)).max() <= 1e-12
@@ -97,6 +98,38 @@ def test_forced_last_column_graph_matches():
                                force_last_column=True)
     assert np.abs(alpha_node.value - alpha).max() <= 1e-12
     assert np.allclose(alpha_node.value.sum(axis=1), 1.0, atol=1e-10)
+
+
+def test_feedforward_nodes_equal_feedforward_apply():
+    heads, states, _, _ = toy_instance(5)
+    for ffn, x in ((heads[0].ffn_s, states.s), (heads[1].ffn_h, states.h)):
+        t = Tape()
+        out = graph.feedforward_nodes(t, t.constant(x),
+                                      [t.leaf(w) for w in ffn.weights],
+                                      [t.leaf(b) for b in ffn.biases])
+        assert np.array_equal(out.value, ffn.apply(x))
+
+
+@pytest.mark.parametrize("seed", [3, 6])
+@pytest.mark.parametrize("force", [False, True])
+def test_objective_equals_numpy_route(seed, force):
+    heads, states, targets, readout = toy_instance(seed, n_heads=3)
+    res = emma_objective(heads, states, targets, LossWeights(0.7, 0.3), readout,
+                         force_last_column=force, with_gradient=False)
+    attn, latency, variance = 0.0, 0.0, 0.0
+    for head in heads:
+        alpha = alignment_parallel(stepwise_probability(head, states), force)
+        beta = beta_parallel(alpha, attention_energies(head, states))
+        attn = attn + beta @ states.v / len(heads)
+        latency += latency_loss(expected_delays(alpha), states.source_len,
+                                states.target_len) / len(heads)
+        variance += variance_loss(alignment_variance(alpha)) / len(heads)
+    logits = attn @ readout.w_out + readout.b_out
+    log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    nll = -log_probs[np.arange(len(targets)), targets].sum()
+    assert abs(res.latency - latency) <= 1e-12
+    assert abs(res.variance - variance) <= 1e-12
+    assert abs(res.loss - (nll + 0.7 * latency + 0.3 * variance)) <= 1e-12
 
 
 def objective_value_fn(heads, states, targets, weights, readout):

@@ -1,9 +1,11 @@
 """Adjoint rules of every tape primitive, verified against central differences."""
 
+import zlib
+
 import numpy as np
 import pytest
 
-from emma_stream.errors import DomainError
+from emma_stream.errors import DomainError, ShapeError
 from emma_stream.numerics import Tape, central_difference_gradient, finite_diff_check
 
 FD_TOL = 1e-5
@@ -80,49 +82,51 @@ def test_nonfinite_probe_raises():
         central_difference_gradient(run, np.array([1.0]), h=H)
 
 
-@pytest.mark.parametrize("case", [
-    "scale", "shift", "sigmoid", "exp", "log", "cumsum0", "cumsum1",
-    "cumprod0", "cumprod1", "triu", "roll", "flip", "row_softmax",
-    "reciprocal", "row", "sum", "transpose",
-])
-def test_unary_primitives_match_finite_differences(case):
-    rng = np.random.default_rng(hash(case) % (2**32))
+UNARY_CASES = ["scale", "shift", "sigmoid", "tanh", "exp", "log",
+               "row_softmax", "sum", "transpose"]
+
+
+def stable_seed(case):
+    """Per-case seed that, unlike hash(), is the same in every process."""
+    return zlib.crc32(case.encode())
+
+
+def check_unary_case(case, seed):
+    rng = np.random.default_rng(seed)
     w = rng.uniform(-2.0, 2.0, size=(4, 5))
-    positive = case in ("log", "reciprocal")
     builders = {
         "scale": lambda t, a: weighted(t, t.scale(a, -1.7), w),
         "shift": lambda t, a: weighted(t, t.shift(a, 0.9), w),
         "sigmoid": lambda t, a: weighted(t, t.sigmoid(a), w),
+        "tanh": lambda t, a: weighted(t, t.tanh(a), w),
         "exp": lambda t, a: weighted(t, t.exp(a), w),
         "log": lambda t, a: weighted(t, t.log(a), w),
-        "cumsum0": lambda t, a: weighted(t, t.cumsum(a, axis=0), w),
-        "cumsum1": lambda t, a: weighted(t, t.cumsum(a, axis=1), w),
-        "cumprod0": lambda t, a: weighted(t, t.cumprod(a, axis=0), w),
-        "cumprod1": lambda t, a: weighted(t, t.cumprod(a, axis=1), w),
-        "triu": lambda t, a: weighted(t, t.triu(a, 1), w),
-        "roll": lambda t, a: weighted(t, t.roll(a, 2), w),
-        "flip": lambda t, a: weighted(t, t.flip(a), w),
         "row_softmax": lambda t, a: weighted(t, t.row_softmax(a), w),
-        "reciprocal": lambda t, a: weighted(t, t.reciprocal(a), w),
-        "row": lambda t, a: weighted(t, t.row(a, 2), w[:1]),
         "sum": lambda t, a: t.scale(t.sum(a), 0.3),
         "transpose": lambda t, a: weighted(t, t.transpose(a), w.T),
     }
     for trial in range(20):
-        rng_x = np.random.default_rng(1000 * (hash(case) % 1000) + trial)
-        if positive:
+        rng_x = np.random.default_rng([seed, trial])
+        if case == "log":
             x = rng_x.uniform(0.5, 2.5, size=(4, 5))
         else:
             x = rng_x.uniform(-2.0, 2.0, size=(4, 5))
         check_unary(builders[case], x)
 
 
-@pytest.mark.parametrize("case", ["add", "sub", "mul", "matmul", "vstack"])
+@pytest.mark.parametrize("case", UNARY_CASES)
+def test_unary_primitives_match_finite_differences(case):
+    check_unary_case(case, stable_seed(case))
+
+
+@pytest.mark.parametrize("case", ["add", "sub", "mul", "matmul", "vstack",
+                                  "add_bias_row", "add_bias_scalar"])
 def test_binary_primitives_match_finite_differences(case):
     for trial in range(20):
         rng = np.random.default_rng(7000 + trial)
         a_shape = (3, 4)
-        b_shape = (4, 2) if case == "matmul" else (3, 4)
+        b_shape = {"matmul": (4, 2), "add_bias_row": (1, 4),
+                   "add_bias_scalar": (1, 1)}.get(case, (3, 4))
         w_shape = {"matmul": (3, 2), "vstack": (6, 4)}.get(case, (3, 4))
         w = rng.uniform(-2.0, 2.0, size=w_shape)
         theta = rng.uniform(-2.0, 2.0, size=12 + int(np.prod(b_shape)))
@@ -135,6 +139,8 @@ def test_binary_primitives_match_finite_differences(case):
                 "mul": lambda: t.mul(a, b),
                 "matmul": lambda: t.matmul(a, b),
                 "vstack": lambda: t.vstack([a, b]),
+                "add_bias_row": lambda: t.add_bias(a, b),
+                "add_bias_scalar": lambda: t.add_bias(a, b),
             }
             return a, b, weighted(t, ops[case](), w)
 
@@ -153,30 +159,6 @@ def test_binary_primitives_match_finite_differences(case):
             return np.concatenate([grads[a.index].ravel(), grads[b.index].ravel()])
 
         assert finite_diff_check(run, grad, theta, h=H) <= FD_TOL
-
-
-def test_cumprod_adjoint_handles_exact_zeros():
-    # p = 1 inside the alignment chain produces exact zeros in 1 - p
-    x = np.array([[0.5, 0.0, 0.25], [0.0, 0.0, 2.0]])
-    g = np.array([[1.0, -2.0, 0.5], [1.5, 1.0, -1.0]])
-
-    t = Tape()
-    leaf = t.leaf(x)
-    out = t.sum(t.mul(t.cumprod(leaf, axis=1), t.constant(g)))
-    analytic = t.backward(out)[leaf.index]
-
-    # brute-force adjoint: d cumprod_k / d x_j = prod_{l<=k, l!=j} x_l for j <= k
-    expected = np.zeros_like(x)
-    for r in range(x.shape[0]):
-        for j in range(x.shape[1]):
-            for k in range(j, x.shape[1]):
-                prod = 1.0
-                for l in range(k + 1):
-                    if l != j:
-                        prod *= x[r, l]
-                expected[r, j] += g[r, k] * prod
-    assert np.allclose(analytic, expected, atol=1e-12)
-    assert np.all(np.isfinite(analytic))
 
 
 def test_backward_rejects_non_scalar_and_foreign_nodes():
@@ -202,16 +184,24 @@ def test_unreached_nodes_get_zero_gradient():
 def test_replay_reproduces_values():
     rng = np.random.default_rng(5)
     t = Tape()
-    a = t.leaf(rng.normal(size=(3, 3)))
-    b = t.leaf(rng.normal(size=(3, 3)))
-    c = t.row_softmax(t.matmul(t.sigmoid(a), b))
-    e = t.cumprod(t.triu(c, 0), axis=1)
-    alpha = t.monotonic_alignment(c)
-    forced = t.monotonic_alignment(c, force_last_column=True)
-    beta = t.lookback_attention(t.add(alpha, forced), t.exp(b))
-    d = t.add(t.sum(e), t.sum(beta))
-    assert d.item() is not None
+    a = t.leaf(rng.normal(size=(3, 4)))
+    row = t.leaf(rng.normal(size=(1, 4)))
+    scalar = t.leaf(rng.normal(size=(1, 1)))
+    p = [t.sigmoid(t.add_bias(a, row)), t.sigmoid(t.tanh(t.add_bias(a, scalar)))]
+    alpha = t.monotonic_alignment(p)
+    forced = t.monotonic_alignment(p, force_last_column=True)
+    beta = t.lookback_attention(t.add(alpha, forced), [t.exp(a), t.exp(t.tanh(a))])
+    d = t.sum(t.row_softmax(t.matmul(beta, t.transpose(a))))
+    assert np.isfinite(d.item())
     t.replay()  # raises on any bit-level mismatch
+
+
+def test_add_bias_rejects_other_shapes():
+    t = Tape()
+    a = t.leaf(np.ones((3, 4)))
+    for shape in [(3, 1), (1, 3), (2, 4), (3, 4)]:
+        with pytest.raises(ShapeError):
+            t.add_bias(a, t.leaf(np.ones(shape)))
 
 
 def test_node_values_are_immutable():
