@@ -14,6 +14,7 @@ import numpy as np
 from ..errors import DomainError
 from ..numerics import matrix as mx
 from ..numerics.monotonic import alignment_forward
+from ..numerics.policy import stepwise_forward
 from .params import EncDecStates, PolicyHeadParams
 
 __all__ = [
@@ -36,10 +37,13 @@ def stepwise_probability(params: PolicyHeadParams, states: EncDecStates) -> np.n
     """p[i, j] = sigmoid((FFN_s(s_i) . FFN_h(h_j) + bias) / temperature).
 
     Row i uses the decoder state that precedes the i-th prediction, which is
-    exactly how ``states.s`` is laid out (row 0 is begin-of-sequence).
+    exactly how ``states.s`` is laid out (row 0 is begin-of-sequence). The
+    formula is :func:`emma_stream.numerics.policy.stepwise_forward`, the
+    forward the objective's ``Tape.stepwise`` op records.
     """
-    energy = params.ffn_s.apply(states.s) @ params.ffn_h.apply(states.h).T
-    return mx.sigmoid((energy + params.bias) / params.temperature)
+    return stepwise_forward(states.s, states.h, params.ffn_s.layers(),
+                            params.ffn_h.layers(), params.bias,
+                            params.temperature)[0]
 
 
 def alignment_recursive(p, force_last_column: bool = False) -> np.ndarray:

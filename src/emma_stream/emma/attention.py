@@ -16,6 +16,7 @@ import numpy as np
 from ..errors import DomainError, ShapeError
 from ..numerics import matrix as mx
 from ..numerics.monotonic import lookback_forward
+from ..numerics.policy import energies_forward
 from .params import EncDecStates, PolicyHeadParams
 
 __all__ = [
@@ -31,13 +32,13 @@ def attention_energies(params: PolicyHeadParams, states: EncDecStates) -> np.nda
 
     The row max is subtracted before exponentiation; beta is invariant to
     any per-row shift of the scores (numerator and denominator share the
-    factor), so this changes nothing but the floating-point range.
+    factor), so this changes nothing but the floating-point range. The
+    formula is :func:`emma_stream.numerics.policy.energies_forward`, the
+    forward the objective's ``Tape.energies`` op records.
     """
     if not params.has_energy_projections:
         raise ValueError("head has no w_q/w_k energy projections")
-    d_k = params.w_q.shape[1]
-    scores = (states.s @ params.w_q) @ (states.h @ params.w_k).T / np.sqrt(d_k)
-    return mx.exp(scores - scores.max(axis=1, keepdims=True))
+    return energies_forward(states.s, states.h, params.w_q, params.w_k)[0]
 
 
 def _check_pair(alpha, e) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..numerics import matrix as mx
+from ..numerics.monotonic import delay_moments
 
 __all__ = [
     "expected_delays",
@@ -21,9 +22,7 @@ __all__ = [
 
 def expected_delays(alpha) -> np.ndarray:
     """Expected source position per target step: d_i = sum_j j * alpha[i, j]."""
-    alpha = mx.as_matrix(alpha)
-    positions = np.arange(1, alpha.shape[1] + 1, dtype=np.float64)
-    return alpha @ positions
+    return delay_moments(mx.as_matrix(alpha))[0]
 
 
 def ideal_delays(source_len: int, target_len: int) -> np.ndarray:
@@ -60,11 +59,7 @@ def alignment_variance(alpha) -> np.ndarray:
     below one the usual shortcut can undershoot, but it stays above -1e-12
     for any matrix produced by the alignment recurrence; the tests pin that.
     """
-    alpha = mx.as_matrix(alpha)
-    positions = np.arange(1, alpha.shape[1] + 1, dtype=np.float64)
-    first = alpha @ positions
-    second = alpha @ (positions * positions)
-    return second - first * first
+    return delay_moments(mx.as_matrix(alpha))[1]
 
 
 def variance_loss(variances) -> float:

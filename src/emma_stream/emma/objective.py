@@ -1,8 +1,11 @@
 """Training objective: NLL plus latency and variance regularizers.
 
 The whole computation is recorded on a reverse-mode tape, so the reported
-loss value and the returned gradient come from one graph. The gradient is
-flattened in the same order as :func:`~emma_stream.emma.params.pack_parameters`.
+loss value and the returned gradient come from one graph. Every trainable
+array is read from one leaf, the flat parameter vector of
+:func:`~emma_stream.emma.params.pack_parameters`: the policy heads through
+the fused ``Tape.stepwise`` and ``Tape.energies`` ops, the readout through
+``Tape.view``. The gradient is that leaf's gradient, in the same order.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..numerics.tape import Tape
-from . import graph
 from .losses import ideal_delays
-from .params import EncDecStates, LossWeights, PolicyHeadParams, Readout
+from .params import (EncDecStates, LossWeights, PolicyHeadParams, Readout,
+                     pack_parameters, parameter_slots)
 
 __all__ = ["ObjectiveResult", "emma_objective"]
 
@@ -43,12 +46,17 @@ def emma_objective(heads: list[PolicyHeadParams], states: EncDecStates,
                    targets, weights: LossWeights, readout: Readout, *,
                    force_last_column: bool = False,
                    latency_mode: str = "ideal-lag",
-                   with_gradient: bool = True) -> ObjectiveResult:
+                   with_gradient: bool = True,
+                   theta: np.ndarray | None = None) -> ObjectiveResult:
+    """Loss and gradient of one instance.
+
+    ``theta``, when given, is the flat parameter vector in
+    :func:`~emma_stream.emma.params.pack_parameters` order; the arrays of
+    ``heads`` and ``readout`` then serve only as shape templates, as in
+    :func:`~emma_stream.emma.params.unpack_parameters`.
+    """
     if not heads:
         raise ValueError("objective needs at least one policy head")
-    for k, hp in enumerate(heads):
-        if not hp.has_energy_projections:
-            raise ValueError(f"head {k} has no w_q/w_k energy projections")
     targets = [int(v) for v in np.asarray(targets).ravel()]
     if len(targets) != states.target_len:
         raise ValueError(
@@ -63,53 +71,38 @@ def emma_objective(heads: list[PolicyHeadParams], states: EncDecStates,
         ideal = np.zeros(states.target_len)
     else:
         raise ValueError(f"unknown latency mode: {latency_mode!r}")
+    head_slots, (w_out_slot, b_out_slot) = parameter_slots(heads, readout)
+    if theta is None:
+        theta = pack_parameters(heads, readout)
+    elif np.size(theta) != b_out_slot[0] + b_out_slot[2]:
+        raise ValueError(f"expected {b_out_slot[0] + b_out_slot[2]} "
+                         f"parameters, got {np.size(theta)}")
 
     t = Tape()
-    s_const = t.constant(states.s)
-    h_const = t.constant(states.h)
-    n_heads = len(heads)
-    n_target, n_source = states.target_len, states.source_len
-    positions = np.arange(1.0, n_source + 1.0).reshape(n_source, 1)
+    params = t.leaf(np.ravel(theta))
+    n_heads, n_target = len(heads), states.target_len
 
-    all_leaves = [graph.head_leaves(t, hp) for hp in heads]
-    p = [graph.stepwise_nodes(t, leaves, s_const, h_const) for leaves in all_leaves]
-    e = [graph.energy_nodes(t, leaves, s_const, h_const) for leaves in all_leaves]
-    # every head's alignment, attention, delays and spread, stacked by row
-    alpha = t.monotonic_alignment(p, force_last_column)
+    # every head's probabilities, alignment and attention, stacked by row
+    p = t.stepwise(params, states.s, states.h, head_slots)
+    e = t.energies(params, states.s, states.h, head_slots)
+    alpha = t.monotonic_alignment(p, force_last_column, heads=n_heads)
+    moments = t.delay_moments(alpha, ideal)  # [latency, variance]
     attn = t.matmul(t.lookback_attention(alpha, e), t.constant(states.v))
-    delays = t.matmul(alpha, t.constant(positions))
-    spread = t.sub(t.matmul(alpha, t.constant(positions * positions)),
-                   t.mul(delays, delays))
-    ideal_col = t.constant(np.tile(ideal, n_heads).reshape(-1, 1))
-    lat_mean = graph.mean_node(t, t.sub(delays, ideal_col))
-    var_mean = graph.mean_node(t, spread)
     # the head average [I ... I] / H of the stacked rows, as one matmul
-    head_mean = t.constant(np.tile(np.eye(n_target) / n_heads, n_heads))
-    attn_mean = t.matmul(head_mean, attn)
+    head_mean = t.constant(
+        (np.arange(n_heads * n_target) % n_target == np.arange(n_target)[:, None])
+        / n_heads)
+    logits = t.affine(t.matmul(head_mean, attn), params, w_out_slot, b_out_slot)
+    nll = t.cross_entropy(logits, targets)
+    loss = t.add(nll, t.matmul(moments, t.constant(
+        [[weights.lambda_latency], [weights.lambda_variance]])))
 
-    w_out = t.leaf(readout.w_out)
-    b_out = t.leaf(readout.b_out)
-    logits = t.add_bias(t.matmul(attn_mean, w_out), b_out)
-    log_probs = t.log(t.row_softmax(logits))
-    onehot = np.zeros((n_target, vocab))
-    onehot[np.arange(n_target), targets] = 1.0
-    nll = t.scale(t.sum(t.mul(t.constant(onehot), log_probs)), -1.0)
-    loss = t.add(nll, t.add(t.scale(lat_mean, weights.lambda_latency),
-                            t.scale(var_mean, weights.lambda_variance)))
-
-    gradient = None
-    if with_gradient:
-        grads = t.backward(loss)
-        ordered = [leaf for leaves in all_leaves for leaf in leaves.ordered()]
-        ordered += [w_out, b_out]
-        gradient = np.concatenate(
-            [t.grad_of(grads, leaf).ravel() for leaf in ordered])
-
+    latency, variance = moments.value[0]
     return ObjectiveResult(
         loss=loss.item(),
         nll=nll.item(),
-        latency=lat_mean.item(),
-        variance=var_mean.item(),
-        delay_mean=float(np.mean(delays.value)),
-        gradient=gradient,
+        latency=float(latency),
+        variance=float(variance),
+        delay_mean=float(moments.saved[0].mean()),
+        gradient=t.backward(loss)[params.index].ravel() if with_gradient else None,
     )

@@ -9,6 +9,7 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import ShapeError
+from ..numerics.policy import HeadSlots, ffn_forward
 
 __all__ = [
     "FeedForward",
@@ -21,6 +22,7 @@ __all__ = [
     "random_readout",
     "random_states",
     "pack_parameters",
+    "parameter_slots",
     "unpack_parameters",
 ]
 
@@ -71,14 +73,11 @@ class FeedForward:
             yield w
             yield b
 
+    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return list(zip(self.weights, self.biases))
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(x, dtype=np.float64)
-        last = len(self.weights) - 1
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out = out @ w + b
-            if k < last:
-                out = np.tanh(out)
-        return out
+        return ffn_forward(np.asarray(x, dtype=np.float64), self.layers())[-1]
 
 
 @dataclass(frozen=True)
@@ -255,6 +254,35 @@ def _all_arrays(heads, readout) -> list[np.ndarray]:
 def pack_parameters(heads: list[PolicyHeadParams], readout: Readout) -> np.ndarray:
     """Flatten every trainable array (fixed order) into one vector."""
     return np.concatenate([a.ravel() for a in _all_arrays(heads, readout)])
+
+
+def _shape_key(hp: PolicyHeadParams) -> tuple:
+    return (tuple(w.shape for w in hp.ffn_s.weights),
+            tuple(w.shape for w in hp.ffn_h.weights),
+            None if hp.w_q is None else (hp.w_q.shape, hp.w_k.shape))
+
+
+def parameter_slots(heads: list[PolicyHeadParams], readout: Readout):
+    """Where :func:`pack_parameters` puts each array: a
+    :class:`~emma_stream.numerics.policy.HeadSlots` for the heads, which
+    must share one shape and have energy projections, and the readout's
+    ``(w_out, b_out)`` slots."""
+    key = _shape_key(heads[0])
+    if key[2] is None or any(_shape_key(hp) != key for hp in heads[1:]):
+        raise ValueError("policy heads must share one shape, with w_q/w_k")
+    pos = 0
+
+    def slot(shape: tuple[int, int]):
+        nonlocal pos
+        pos += shape[0] * shape[1]
+        return (pos - shape[0] * shape[1],) + shape
+
+    ffn_s, ffn_h = (tuple((slot(w), slot((1, w[1]))) for w in ws) for ws in key[:2])
+    bias, w_q, w_k = slot((1, 1)), slot(key[2][0]), slot(key[2][1])
+    head = HeadSlots(pos, ffn_s, ffn_h, bias, w_q, w_k,
+                     tuple(hp.temperature for hp in heads))
+    pos *= len(heads)
+    return head, (slot(readout.w_out.shape), slot(readout.b_out.shape))
 
 
 def unpack_parameters(theta: np.ndarray, heads: list[PolicyHeadParams],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -80,6 +81,11 @@ def _score_instance(instance: StreamInstance, factory, config, trace_dir):
     row = InstanceLatency(instance_id=instance.id, al=al, laal=laal,
                           start_offset_s=offs["start_offset_s"],
                           end_offset_s=offs["end_offset_s"])
+    if not all(math.isfinite(v) for v in (al, laal, row.start_offset_s,
+                                          row.end_offset_s)):
+        raise DomainError(f"instance {instance.id!r} has a non-finite latency "
+                          f"(AL {al}, LAAL {laal}, offsets "
+                          f"{row.start_offset_s}, {row.end_offset_s})")
     return _Scored(instance.id, row, tuple(trace.outputs),
                    instance.reference)
 

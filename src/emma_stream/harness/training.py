@@ -47,6 +47,8 @@ class ToyTrainConfig:
     def __post_init__(self):
         if self.steps < 1 or not 0 < self.learning_rate < math.inf:
             raise ValueError("steps and learning rate must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
 
 
 @dataclass
@@ -83,18 +85,19 @@ def _frozen_problem(config: ToyTrainConfig):
 
 
 def train_single(config: ToyTrainConfig, weights: LossWeights) -> TrainingRun:
-    """Gradient descent for one loss-weight setting."""
+    """Gradient descent for one loss-weight setting, on the flat parameter
+    vector; the initial heads and readout only give its layout."""
     heads, readout, states, targets = _frozen_problem(config)
     theta = pack_parameters(heads, readout)
     run = TrainingRun(weights=weights)
     for step in range(config.steps):
-        cur_heads, cur_readout = unpack_parameters(theta, heads, readout)
         try:
-            res = emma_objective(cur_heads, states, targets, weights,
-                                 cur_readout, latency_mode=config.latency_mode)
+            res = emma_objective(heads, states, targets, weights, readout,
+                                 latency_mode=config.latency_mode, theta=theta)
         except DomainError:
-            # attention energies underflowed to zero: the parameters left
-            # the objective's computable domain, same event as an inf loss
+            # attention energies or the readout softmax underflowed to zero:
+            # the parameters left the objective's computable domain, same
+            # event as an inf loss
             raise TrainingDivergedError(step=step, loss=float("inf"))
         if not res.is_finite():
             raise TrainingDivergedError(step=step, loss=res.loss)

@@ -3,10 +3,7 @@
 Every function here takes and returns 2-D ``float64`` numpy arrays and
 performs explicit shape validation instead of relying on broadcasting.
 The catalog is deliberately small: elementwise product, matrix multiply,
-axis-wise cumulative product/sum, upper-triangle extraction with offset,
-cyclic roll and reversal on the last axis, the all-ones matrix, outer
-product, sigmoid, row softmax, exp, and log.  ``axis=1`` means the scan
-runs within each row; ``axis=0`` runs down each column.
+sigmoid, row softmax, and log.
 """
 
 from __future__ import annotations
@@ -19,16 +16,8 @@ __all__ = [
     "as_matrix",
     "hadamard",
     "matmul",
-    "cumprod",
-    "cumsum",
-    "triu",
-    "roll",
-    "flip",
-    "ones",
-    "outer",
     "sigmoid",
     "row_softmax",
-    "exp",
     "log",
 ]
 
@@ -51,11 +40,6 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not conform")
 
 
-def _check_axis(axis: int) -> None:
-    if axis not in (0, 1):
-        raise ValueError(f"axis must be 0 (column-wise) or 1 (row-wise), got {axis!r}")
-
-
 def hadamard(a, b) -> np.ndarray:
     """Elementwise product of two equal-shape matrices."""
     a, b = as_matrix(a), as_matrix(b)
@@ -71,67 +55,12 @@ def matmul(a, b) -> np.ndarray:
     return a @ b
 
 
-def cumprod(a, axis: int = 1) -> np.ndarray:
-    """Cumulative product along ``axis``."""
-    a = as_matrix(a)
-    _check_axis(axis)
-    return np.cumprod(a, axis=axis)
-
-
-def cumsum(a, axis: int = 1) -> np.ndarray:
-    """Cumulative sum along ``axis``."""
-    a = as_matrix(a)
-    _check_axis(axis)
-    return np.cumsum(a, axis=axis)
-
-
-def triu(a, offset: int = 0) -> np.ndarray:
-    """Upper triangle of ``a``: keeps entries (m, n) with n >= m + offset."""
-    a = as_matrix(a)
-    if not isinstance(offset, (int, np.integer)):
-        raise ValueError(f"triu offset must be an integer, got {offset!r}")
-    return np.triu(a, k=int(offset))
-
-
-def roll(a, k: int = 1) -> np.ndarray:
-    """Cyclic shift by ``k`` on the last axis: roll(1) maps (a1,..,aN) to (aN,a1,..)."""
-    a = as_matrix(a)
-    if not isinstance(k, (int, np.integer)):
-        raise ValueError(f"roll shift must be an integer, got {k!r}")
-    return np.roll(a, int(k), axis=1)
-
-
-def flip(a) -> np.ndarray:
-    """Reverse the last axis of ``a``."""
-    a = as_matrix(a)
-    return np.ascontiguousarray(a[:, ::-1])
-
-
-def ones(rows: int, cols: int) -> np.ndarray:
-    """All-ones matrix of the given size."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"ones: size must be positive, got {rows}x{cols}")
-    return np.ones((rows, cols), dtype=np.float64)
-
-
-def outer(u, v) -> np.ndarray:
-    """Outer product of two vectors (accepts 1-D, 1xN, or Nx1 inputs)."""
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if u.size == 0 or v.size == 0:
-        raise ShapeError("outer: vectors must be non-empty")
-    return np.outer(u, v)
-
-
 def sigmoid(a) -> np.ndarray:
     """Elementwise logistic function, stable for large |x|."""
     a = as_matrix(a)
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ex = np.exp(a[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + exp(-a)) where a >= 0, exp(a) / (1 + exp(a)) elsewhere
+    ex = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def row_softmax(a) -> np.ndarray:
@@ -140,11 +69,6 @@ def row_softmax(a) -> np.ndarray:
     shifted = a - a.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=1, keepdims=True)
-
-
-def exp(a) -> np.ndarray:
-    """Elementwise exponential."""
-    return np.exp(as_matrix(a))
 
 
 def log(a) -> np.ndarray:

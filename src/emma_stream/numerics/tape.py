@@ -7,7 +7,9 @@ sorted and :meth:`Tape.backward` is a single reverse sweep.  Values are
 2-D float64 arrays, frozen on creation; scalars are 1-by-1 matrices.
 Shapes must match exactly, except that :meth:`Tape.add_bias` broadcasts a
 row or a scalar.  An op whose adjoint reads forward intermediates keeps
-them in ``Node.saved``.
+them in ``Node.saved``.  The policy-head ops :meth:`Tape.stepwise` and
+:meth:`Tape.energies` read every head's parameters from one flat 1 x n
+parameter row, and :meth:`Tape.affine` reads its weights from it too.
 
 Only first-order gradients of a single scalar output are supported, and a
 tape must stay on the thread that created it.
@@ -21,14 +23,14 @@ import numpy as np
 
 from ..errors import DomainError, ShapeError
 from . import matrix as mx
-from . import monotonic
+from . import monotonic, policy
 
 __all__ = ["Node", "Tape"]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=np.float64)
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -108,15 +110,51 @@ _FORWARD: dict[str, Callable] = {
     "sum": lambda vs, m: np.array([[vs[0].sum()]]),
     "vstack": lambda vs, m: np.vstack(vs),
     "transpose": lambda vs, m: vs[0].T.copy(),
-    "monotonic_alignment": lambda vs, m: _stacked_alignment(vs, m[0]),
+    "monotonic_alignment": lambda vs, m: _stacked_alignment(vs, *m),
     "lookback_attention": lambda vs, m: _stacked_lookback(vs),
+    "stepwise": lambda vs, m: policy.heads_stepwise(vs[0].reshape(-1), *m),
+    "energies": lambda vs, m: policy.heads_energies(vs[0].reshape(-1), *m),
+    "affine": lambda vs, m: vs[0] @ _slot(vs[1], m[0]) + _slot(vs[1], m[1]),
+    "cross_entropy": lambda vs, m: _cross_entropy(vs[0], m[0]),
+    "delay_moments": lambda vs, m: _delay_moments(vs[0], m[0]),
 }
 
 
-def _stacked_alignment(ps: list[np.ndarray], force_last_column: bool):
-    """Alignment of every head's p in one wavefront, heads stacked by row."""
-    alpha, *saved = monotonic.alignment_forward(np.stack(ps), force_last_column)
+def _stacked_alignment(ps: list[np.ndarray], force_last_column: bool,
+                       n_heads: int):
+    """Alignment of the row-stacked heads of every parent in one wavefront."""
+    p = ps[0] if len(ps) == 1 else np.concatenate(ps)
+    alpha, *saved = monotonic.alignment_forward(
+        p.reshape(n_heads, -1, p.shape[1]), force_last_column)
     return (alpha.reshape(-1, alpha.shape[2]), *saved)
+
+
+def _slot(theta: np.ndarray, slot) -> np.ndarray:
+    """The matrix at ``slot`` of the 1 x n parameter row ``theta``."""
+    return policy.view(theta.reshape(-1), slot)
+
+
+def _delay_moments(alpha: np.ndarray, ideal: np.ndarray):
+    """1 x 2 [mean(d - ideal), mean(v)] over the rows of ``alpha``, ``ideal``
+    repeated per block of rows; and the delays d."""
+    d, v = monotonic.delay_moments(alpha)
+    lat = (d.reshape(-1, ideal.size) - ideal).sum() / d.size
+    return np.array([[lat, v.sum() / v.size]]), d
+
+
+def _cross_entropy(logits: np.ndarray, targets: np.ndarray):
+    """-sum_i log softmax(logits)[i, targets[i]] as 1 x 1, and the softmax.
+
+    Summed over the one-hot mask of the targets, the order in which the
+    composed graph summed: its round-off in the value is what the central
+    differences of the objective's gradient check see.
+    """
+    softmax = mx.row_softmax(logits)
+    if np.any(softmax <= 0.0):
+        raise DomainError("cross_entropy: softmax underflowed to zero")
+    onehot = np.zeros_like(logits)
+    onehot[np.arange(len(targets)), targets] = 1.0
+    return np.array([[-(onehot * np.log(softmax)).sum()]]), softmax
 
 
 def _stacked_lookback(vs: list[np.ndarray]):
@@ -127,22 +165,50 @@ def _stacked_lookback(vs: list[np.ndarray]):
     return beta, e, r, s
 
 
-def _stacked_alignment_adjoint(ps, qs, grad: np.ndarray, force_last_column: bool):
+def _split(a: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """``a`` split into ``n`` row blocks, one per parent."""
+    return (a,) if n == 1 else tuple(np.split(a, n))
+
+
+def _stacked_alignment_adjoint(ps, qs, grad: np.ndarray, force_last_column: bool,
+                               n_parents: int):
     n_heads, n_target = ps.shape[1:]
     p_adj = monotonic.alignment_adjoint(
         ps, qs, grad.reshape(n_heads, n_target, -1), force_last_column)
-    return tuple(p_adj)
+    return _split(p_adj.reshape(grad.shape), n_parents)
 
 
 def _stacked_lookback_adjoint(alpha, e, r, s, grad: np.ndarray, n_heads: int):
     alpha_adj, e_adj = monotonic.lookback_adjoint(alpha, e, r, s, grad)
-    return (alpha_adj, *np.split(e_adj, n_heads))
+    return (alpha_adj, *_split(e_adj, n_heads))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Sum ``grad`` over the axes a 1 x n row or a 1 x 1 scalar was broadcast on."""
     out = grad.sum(axis=0, keepdims=True)
     return out.sum(axis=1, keepdims=True) if shape[1] == 1 else out
+
+
+def _affine_adjoint(x: np.ndarray, theta: np.ndarray, grad: np.ndarray, slots):
+    w_slot, b_slot = slots
+    theta_adj = np.zeros_like(theta)
+    _slot(theta_adj, w_slot)[...] = x.T @ grad
+    _slot(theta_adj, b_slot)[...] = grad.sum(axis=0, keepdims=True)
+    return grad @ _slot(theta, w_slot).T, theta_adj
+
+
+def _delay_moments_adjoint(alpha: np.ndarray, d: np.ndarray, grad: np.ndarray):
+    """d lat / d alpha[i, j] = j / n, d var / d alpha[i, j] = (j^2 - 2 d_i j) / n
+    for n rows."""
+    j = np.arange(1.0, alpha.shape[1] + 1.0)
+    g_lat, g_var = grad[0] / alpha.shape[0]
+    return (g_lat * j + g_var * (j * j - 2.0 * np.outer(d, j)),)
+
+
+def _cross_entropy_adjoint(softmax: np.ndarray, grad: np.ndarray, targets):
+    out = softmax * grad[0, 0]
+    out[np.arange(len(targets)), targets] -= grad[0, 0]
+    return out
 
 
 def _softmax_adjoint(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -178,9 +244,16 @@ _BACKWARD: dict[str, Callable] = {
     "vstack": lambda y, g, vs, m, s: _vstack_adjoint(g, m),
     "transpose": lambda y, g, vs, m, s: (g.T.copy(),),
     "monotonic_alignment": lambda y, g, vs, m, s:
-        _stacked_alignment_adjoint(s[0], s[1], g, m[0]),
+        _stacked_alignment_adjoint(s[0], s[1], g, m[0], len(vs)),
     "lookback_attention": lambda y, g, vs, m, s:
         _stacked_lookback_adjoint(vs[0], *s, g, len(vs) - 1),
+    "stepwise": lambda y, g, vs, m, s: (policy.heads_stepwise_adjoint(
+        vs[0].reshape(-1), y, s[0], m[2], g).reshape(vs[0].shape),),
+    "energies": lambda y, g, vs, m, s: (policy.heads_energies_adjoint(
+        vs[0].reshape(-1), y, s[0], *m, g).reshape(vs[0].shape),),
+    "affine": lambda y, g, vs, m, s: _affine_adjoint(vs[0], vs[1], g, m),
+    "cross_entropy": lambda y, g, vs, m, s: (_cross_entropy_adjoint(s[0], g, m[0]),),
+    "delay_moments": lambda y, g, vs, m, s: _delay_moments_adjoint(vs[0], s[0], g),
 }
 
 
@@ -188,6 +261,17 @@ def _forward(op: str, values: list[np.ndarray], meta: tuple):
     """(value, saved intermediates) of one forward rule."""
     out = _FORWARD[op](values, meta)
     return (out[0], out[1:]) if isinstance(out, tuple) else (out, ())
+
+
+def _policy_meta(op: str, theta: Node, s, h, heads: policy.HeadSlots) -> tuple:
+    """Checked (s, h, heads) of a policy-head op."""
+    if theta.value.shape[0] != 1 or theta.value.shape[1] < heads.n_heads * heads.stride:
+        raise ShapeError(f"{op}: parameters {theta.value.shape} are not a 1 x n row "
+                         f"holding {heads.n_heads} heads of {heads.stride}")
+    s, h = _freeze(mx.as_matrix(s).copy()), _freeze(mx.as_matrix(h).copy())
+    if s.shape[1] != h.shape[1]:
+        raise ShapeError(f"{op}: state dims differ: {s.shape[1]} vs {h.shape[1]}")
+    return s, h, heads
 
 
 class Tape:
@@ -205,7 +289,7 @@ class Tape:
                 raise LookupError("parent node belongs to a different tape")
         value, saved = _forward(op, [p.value for p in parents], meta)
         node = Node(self, len(self.nodes), op, _freeze(value),
-                    tuple(p.index for p in parents), meta, saved)
+                    tuple([p.index for p in parents]), meta, saved)
         self.nodes.append(node)
         return node
 
@@ -293,17 +377,24 @@ class Tape:
                             tuple(r.value.shape[0] for r in rows))
 
     def monotonic_alignment(self, p: Node | Sequence[Node],
-                            force_last_column: bool = False) -> Node:
-        """Expected monotonic alignment of the stepwise probabilities of one
-        head ``p``, or of several same-shape heads, in one wavefront (see
-        :mod:`emma_stream.numerics.monotonic`). Recorded as one node whose
-        value stacks the heads' alignments by row: H |y| x |x|."""
-        heads = (p,) if isinstance(p, Node) else tuple(p)
-        if not heads:
+                            force_last_column: bool = False,
+                            heads: int = 1) -> Node:
+        """Expected monotonic alignment of stepwise probabilities in one
+        wavefront (see :mod:`emma_stream.numerics.monotonic`): of ``p``,
+        which stacks ``heads`` heads by row, or of several same-shape such
+        nodes. Recorded as one node whose value stacks every head's
+        alignment by row, in order."""
+        parents = (p,) if isinstance(p, Node) else tuple(p)
+        if not parents:
             raise ValueError("monotonic_alignment: need at least one head")
-        for q in heads[1:]:
-            mx._check_same_shape(heads[0].value, q.value, "monotonic_alignment")
-        return self._record("monotonic_alignment", heads, (bool(force_last_column),))
+        for q in parents[1:]:
+            mx._check_same_shape(parents[0].value, q.value, "monotonic_alignment")
+        if heads < 1 or parents[0].value.shape[0] % heads:
+            raise ShapeError(
+                f"monotonic_alignment: {parents[0].value.shape[0]} rows do not "
+                f"stack {heads} heads")
+        return self._record("monotonic_alignment", parents,
+                            (bool(force_last_column), heads * len(parents)))
 
     def lookback_attention(self, alpha: Node, e: Node | Sequence[Node]) -> Node:
         """Infinite-lookback attention of the row-stacked alignments ``alpha``
@@ -324,12 +415,68 @@ class Tape:
                 f"{len(heads)} heads of {heads[0].value.shape}")
         return self._record("lookback_attention", (alpha, *heads))
 
+    def stepwise(self, theta: Node, s: np.ndarray, h: np.ndarray,
+                 heads: policy.HeadSlots) -> Node:
+        """Stepwise probabilities of every head, row-stacked H |y| x |x|,
+        with the heads' parameters read from the 1 x n row ``theta`` where
+        ``heads`` places them (see :mod:`emma_stream.numerics.policy`).
+        Decoder states ``s`` and encoder states ``h`` are constants.
+        Recorded as one node."""
+        return self._record("stepwise", (theta,),
+                            _policy_meta("stepwise", theta, s, h, heads))
+
+    def energies(self, theta: Node, s: np.ndarray, h: np.ndarray,
+                 heads: policy.HeadSlots) -> Node:
+        """Attention energies of every head, row-stacked like
+        :meth:`stepwise`, as one node. Each row's max score is subtracted
+        as a constant: the lookback attention does not see a per-row
+        energy scale, so the adjoint leaves the max out."""
+        return self._record("energies", (theta,),
+                            _policy_meta("energies", theta, s, h, heads))
+
+    def affine(self, x: Node, theta: Node, w_slot: tuple[int, int, int],
+               b_slot: tuple[int, int, int]) -> Node:
+        """``x @ W + b`` with W and the 1 x n row b read from the 1 x n row
+        ``theta`` at ``(offset, rows, cols)`` slots."""
+        n = theta.value.shape[1]
+        (w_off, rows, cols), (b_off, b_rows, b_cols) = w_slot, b_slot
+        if theta.value.shape[0] != 1 or x.value.shape[1] != rows \
+                or (b_rows, b_cols) != (1, cols) or min(w_off, b_off) < 0 \
+                or max(w_off + rows * cols, b_off + cols) > n:
+            raise ShapeError(f"affine: slots {w_slot}, {b_slot} do not fit "
+                             f"x {x.value.shape} and theta {theta.value.shape}")
+        return self._record("affine", (x, theta), (w_slot, b_slot))
+
+    def delay_moments(self, alpha: Node, ideal) -> Node:
+        """The latency and variance regularizers of row-stacked alignments,
+        as one 1 x 2 node [mean(d - ideal), mean(v)]. Row i has expected
+        source position d_i = sum_j j alpha[i, j] and spread
+        v_i = sum_j j^2 alpha[i, j] - d_i^2 (positions j from 1); ``ideal``
+        holds one target delay per row of a head and repeats per head. The
+        delays d are in ``Node.saved[0]``."""
+        ideal = _freeze(np.array(ideal, dtype=np.float64).ravel())
+        if ideal.size == 0 or alpha.value.shape[0] % ideal.size:
+            raise ShapeError(f"delay_moments: {ideal.size} ideal delays do not "
+                             f"divide {alpha.value.shape[0]} rows")
+        return self._record("delay_moments", (alpha,), (ideal,))
+
+    def cross_entropy(self, logits: Node, targets) -> Node:
+        """-sum_i log softmax(logits)[i, targets[i]], the summed negative
+        log-likelihood of one target index per row, as a 1 x 1 node."""
+        targets = np.array(targets, dtype=np.intp).ravel()
+        rows, cols = logits.value.shape
+        if targets.size != rows or targets.min() < 0 or targets.max() >= cols:
+            raise ValueError(
+                f"cross_entropy: need {rows} targets in [0, {cols}), got {targets}")
+        return self._record("cross_entropy", (logits,), (targets,))
+
     # -- backward and replay ------------------------------------------------
     def backward(self, output: Node) -> list[np.ndarray]:
         """Gradients of a scalar ``output`` with respect to every node.
 
         Returns one array per node, indexed like ``self.nodes``; nodes the
-        output does not depend on get zeros.
+        output does not depend on get zeros. The other arrays are read-only,
+        since several nodes may share one.
         """
         if output.tape is not self or not (0 <= output.index < len(self.nodes)) \
                 or self.nodes[output.index] is not output:
@@ -339,7 +486,7 @@ class Tape:
                 f"backward requires a scalar (1x1) output, got {output.value.shape}")
 
         grads: list[np.ndarray | None] = [None] * len(self.nodes)
-        grads[output.index] = np.ones((1, 1))
+        grads[output.index] = _freeze(np.ones((1, 1)))
         for node in reversed(self.nodes[:output.index + 1]):
             g = grads[node.index]
             if g is None or node.op == "leaf":
@@ -348,15 +495,15 @@ class Tape:
             parent_grads = _BACKWARD[node.op](node.value, g, parent_values,
                                               node.meta, node.saved)
             for p_idx, pg in zip(node.parents, parent_grads):
-                if grads[p_idx] is None:
-                    grads[p_idx] = pg.copy()
-                else:
-                    grads[p_idx] = grads[p_idx] + pg
+                if grads[p_idx] is not None:
+                    pg = grads[p_idx] + pg
+                # stored as the adjoint made it: accumulation is out of
+                # place, and read-only, since one array may reach two
+                # parents (add passes g to both)
+                pg.setflags(write=False)
+                grads[p_idx] = pg
         return [g if g is not None else np.zeros_like(n.value)
                 for g, n in zip(grads, self.nodes)]
-
-    def grad_of(self, grads: list[np.ndarray], node: Node) -> np.ndarray:
-        return grads[node.index]
 
     def replay(self) -> None:
         """Re-run every forward rule; raise if any value fails to reproduce bit-identically."""

@@ -4,7 +4,8 @@ from .machine import READ, WRITE, StreamSession, decide, run_stream
 from .models import scripted_probability_model, scripted_waitk_model
 from .trace import trace_to_lines, write_trace_jsonl
 from .types import (EOS_TOKEN, DecisionTrace, Emission, IncrementalModel,
-                    RuntimeConfig, SourceChunk, StreamInstance, TraceEvent)
+                    PrefixView, RuntimeConfig, SourceChunk, StreamInstance,
+                    TraceEvent)
 
 __all__ = [
     "READ",
@@ -20,6 +21,7 @@ __all__ = [
     "DecisionTrace",
     "Emission",
     "IncrementalModel",
+    "PrefixView",
     "RuntimeConfig",
     "SourceChunk",
     "StreamInstance",

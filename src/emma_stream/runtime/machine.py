@@ -16,7 +16,7 @@ time is not modeled.
 from __future__ import annotations
 
 from .types import (EOS_TOKEN, DecisionTrace, Emission, IncrementalModel,
-                    RuntimeConfig, StreamInstance, TraceEvent)
+                    PrefixView, RuntimeConfig, StreamInstance, TraceEvent)
 
 __all__ = ["READ", "WRITE", "decide", "StreamSession", "run_stream"]
 
@@ -73,7 +73,7 @@ class StreamSession:
         self.consumed += 1
         self.sim_time += chunk.duration_s
         self.states = self.model.encode_prefix(
-            self.instance.source_chunks[:self.consumed])
+            PrefixView(self.instance.source_chunks, self.consumed))
         self.events.append(TraceEvent(self.sim_time, "READ"))
 
     def _write(self) -> None:

@@ -4,13 +4,37 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from .types import EOS_TOKEN, SourceChunk
+from .types import EOS_TOKEN, PrefixView, SourceChunk
 
-__all__ = ["CopyModel", "scripted_waitk_model", "scripted_probability_model"]
+__all__ = ["CopyModel", "Payloads", "scripted_waitk_model",
+           "scripted_probability_model"]
+
+
+class Payloads(PrefixView):
+    """Read-only view of the payloads of a chunk sequence, made in O(1):
+    item j is ``chunks[j].payload``. A :class:`PrefixView` is unwrapped,
+    so a read goes through one view, not two."""
+
+    __slots__ = ()
+
+    def __init__(self, chunks: Sequence[SourceChunk]):
+        self._items = chunks._items if isinstance(chunks, PrefixView) else chunks
+        self._n = len(chunks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(c.payload for c in super().__getitem__(index))
+        if not -self._n <= index < self._n:
+            raise IndexError("payload index out of range")
+        return self._items[index % self._n].payload
+
+    def __iter__(self):
+        return (c.payload for c in super().__iter__())
 
 
 class CopyModel:
-    """Copy core of every built-in model: the states are the consumed payloads.
+    """Copy core of every built-in model: the states are a view of the
+    consumed payloads (:class:`Payloads`), not a copy of them.
 
     ``next_token`` copies the first payload not yet copied and returns EOS
     once every consumed payload has been copied. With nothing left to copy
@@ -21,8 +45,8 @@ class CopyModel:
 
     n_heads = 1
 
-    def encode_prefix(self, chunks: Sequence[SourceChunk]):
-        return tuple(c.payload for c in chunks)
+    def encode_prefix(self, chunks: Sequence[SourceChunk]) -> Payloads:
+        return Payloads(chunks)
 
     def head_probabilities(self, states, prefix: Sequence[int]) -> list[float]:
         if len(prefix) >= len(states):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -12,6 +14,7 @@ __all__ = [
     "EOS_TOKEN",
     "SourceChunk",
     "StreamInstance",
+    "PrefixView",
     "RuntimeConfig",
     "IncrementalModel",
     "TraceEvent",
@@ -43,6 +46,45 @@ class StreamInstance:
     @property
     def source_duration_s(self) -> float:
         return sum(c.duration_s for c in self.source_chunks)
+
+
+class PrefixView(SequenceABC):
+    """Read-only view of ``items[:n]`` made in O(1), without copying.
+
+    It supports ``len``, indexing (negative too), iteration and slicing,
+    with the results the tuple ``tuple(items[:n])`` would give, and compares
+    equal to that tuple. ``items`` must not change while the view is used;
+    an instance's chunk tuple never does.
+    """
+
+    __slots__ = ("_items", "_n")
+
+    def __init__(self, items: Sequence, n: int):
+        if not 0 <= n <= len(items):
+            raise ValueError(f"prefix length {n} outside 0..{len(items)}")
+        self._items = items
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._items[i] for i in range(self._n)[index])
+        if not -self._n <= index < self._n:
+            raise IndexError("prefix index out of range")
+        return self._items[index % self._n]
+
+    def __iter__(self):
+        return itertools.islice(self._items, self._n)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (PrefixView, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -79,11 +121,12 @@ class IncrementalModel(Protocol):
     """Behavioral contract the streaming loop drives.
 
     After every read the loop calls ``encode_prefix`` on the whole consumed
-    prefix; while source remains it calls ``head_probabilities`` once per
+    prefix, passed as an O(1) :class:`PrefixView` of the instance's chunks;
+    while source remains it calls ``head_probabilities`` once per
     (written, consumed) state, and ``next_token`` for every write.
     Implementations must be deterministic given identical call history.
-    The built-in models (``runtime.models.CopyModel``) keep the consumed
-    payloads as their states, so encoding a prefix is a tuple copy.
+    The built-in models (``runtime.models.CopyModel``) keep a view of the
+    consumed payloads as their states, so encoding a prefix is O(1) too.
     """
 
     def encode_prefix(self, chunks: Sequence[SourceChunk]):

@@ -21,8 +21,9 @@ from emma_stream.harness import evaluate
 from emma_stream.harness.cli import main
 from emma_stream.harness.models import ToyPolicyModel, _hash_rng
 from emma_stream.harness.training import ToyTrainConfig, train_single
-from emma_stream.runtime import (EOS_TOKEN, RuntimeConfig, StreamInstance,
-                                 run_stream)
+from emma_stream.runtime import (EOS_TOKEN, RuntimeConfig, SourceChunk,
+                                 StreamInstance, run_stream,
+                                 scripted_probability_model)
 
 
 def write_jsonl(path, entries):
@@ -312,6 +313,51 @@ def test_toy_model_probabilities_are_the_stepwise_formula(tmp_path):
             assert ps == pytest.approx(expected, rel=0.0, abs=1e-12)
             checked += 1
     assert checked > 0
+
+
+class EncodeRecorder:
+    """Forwards to a model; keeps the states of every encode and their
+    payloads at the time of the call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.encodes = []
+
+    def encode_prefix(self, chunks):
+        states = self.model.encode_prefix(chunks)
+        self.encodes.append((len(chunks), states, tuple(states)))
+        return states
+
+    def head_probabilities(self, states, prefix):
+        return self.model.head_probabilities(states, prefix)
+
+    def next_token(self, states, prefix):
+        return self.model.next_token(states, prefix)
+
+
+@pytest.mark.parametrize("kind,parameters", [
+    ("scripted_waitk", {"k": 3}),
+    ("scripted_stochastic", {}),
+    ("toy_trained", {"steps": 5}),
+    ("scripted_probability", None),
+])
+def test_models_see_the_payloads_of_the_read_prefix(kind, parameters):
+    # after j reads a built-in model's states are the first j payloads, and
+    # stay so while later reads extend the prefix
+    payloads = tuple(int(v) for v in np.random.default_rng(4).integers(1, 50, 12))
+    inst = StreamInstance("p", tuple(SourceChunk(0.1, v) for v in payloads),
+                          payloads)
+    if parameters is None:
+        model = scripted_probability_model(lambda w, c: [0.3 + 0.4 * (c % 2)])
+    else:
+        model = model_factory(kind, parameters, 7)(inst)
+    recording = EncodeRecorder(model)
+    run_stream(recording, inst, RuntimeConfig())
+    assert [n for n, _, _ in recording.encodes] == list(range(1, 13))
+    for j, (_, states, at_call) in enumerate(recording.encodes, 1):
+        assert at_call == tuple(states) == payloads[:j]
+        assert states == payloads[:j] and len(states) == j
+        assert states[-1] == payloads[j - 1] and states[:2] == payloads[:j][:2]
 
 
 def test_sweep_loads_and_builds_the_model_once(tmp_path, monkeypatch):
@@ -728,6 +774,28 @@ def test_cli_id_that_is_not_a_string_exits_1(tmp_path, capsys, iid):
     err = capsys.readouterr().err
     assert ":2:" in err and "must be a string" in err and err.count("\n") == 1
     assert not tdir.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_non_finite_latency_exits_1_with_one_line(tmp_path, capsys, fmt):
+    # 4 units of 1e308 s each overflow the end offset to inf on every instance
+    mpath = cli_manifest(tmp_path)
+    manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    manifest["runtime"] = {"unit_duration_s": 1e308, "units_per_token": 4}
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    out = tmp_path / f"report.{fmt}"
+    assert main(["evaluate", "--manifest", str(mpath), "--format", fmt,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "non-finite latency" in err
+    assert not out.exists()
+
+
+def test_cli_train_toy_negative_seed_exits_2_naming_seed(capsys):
+    assert main(["train-toy", "--steps", "5", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed must be at least 0\n"
 
 
 def test_cli_negative_seed_override_exits_2_naming_seed(tmp_path, capsys):

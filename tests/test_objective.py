@@ -1,4 +1,4 @@
-"""The combined objective: value fixtures, graph consistency, gradients."""
+"""The combined objective: value fixtures, fused-op consistency, gradients."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,8 @@ from emma_stream.emma import (EncDecStates, LossWeights, Readout,
                               emma_objective, expected_delays, latency_loss,
                               pack_parameters, stepwise_probability,
                               unpack_parameters, variance_loss)
-from emma_stream.emma import graph
-from emma_stream.emma.params import (random_head, random_readout,
-                                     random_states)
+from emma_stream.emma.params import (parameter_slots, random_head,
+                                     random_readout, random_states)
 from emma_stream.numerics import Tape, finite_diff_check
 
 
@@ -64,50 +63,54 @@ def test_argument_errors():
         emma_objective([], states, targets, LossWeights(), readout)
 
 
-def test_graph_forward_matches_array_route():
-    # the tape composition must agree with the plain numpy functions
-    heads, states, _, _ = toy_instance(3)
-    head = heads[0]
+def fused_heads(heads, readout, states, force_last_column=False):
+    """The fused policy-head ops on one parameter leaf, then alignment and
+    lookback attention: (stepwise node, alignment node, energy node, beta node)."""
     t = Tape()
-    leaves = graph.head_leaves(t, head)
-    s_const = t.constant(states.s)
-    h_const = t.constant(states.h)
-    p_node = graph.stepwise_nodes(t, leaves, s_const, h_const)
-    alpha_node = t.monotonic_alignment(p_node)
-    e_node = graph.energy_nodes(t, leaves, s_const, h_const)
-    beta_node = t.lookback_attention(alpha_node, e_node)
+    head_slots, _ = parameter_slots(heads, readout)
+    theta = t.leaf(pack_parameters(heads, readout))
+    p_node = t.stepwise(theta, states.s, states.h, head_slots)
+    alpha_node = t.monotonic_alignment(p_node, force_last_column, heads=len(heads))
+    e_node = t.energies(theta, states.s, states.h, head_slots)
+    return p_node, alpha_node, e_node, t.lookback_attention(alpha_node, e_node)
 
-    p = stepwise_probability(head, states)
-    assert np.abs(p_node.value - p).max() <= 1e-12
-    alpha = alignment_parallel(p)
-    assert np.abs(alpha_node.value - alpha).max() <= 1e-12
-    e = attention_energies(head, states)
-    assert np.abs(e_node.value - e).max() <= 1e-12
-    assert np.abs(beta_node.value - beta_parallel(alpha, e)).max() <= 1e-12
+
+def test_graph_forward_matches_array_route():
+    # the fused tape ops must agree with the plain numpy functions, head by head
+    heads, states, _, readout = toy_instance(3)
+    p_node, alpha_node, e_node, beta_node = fused_heads(heads, readout, states)
+    n = states.target_len
+    for k, head in enumerate(heads):
+        rows = slice(k * n, (k + 1) * n)
+        p = stepwise_probability(head, states)
+        assert np.abs(p_node.value[rows] - p).max() <= 1e-12
+        alpha = alignment_parallel(p)
+        assert np.abs(alpha_node.value[rows] - alpha).max() <= 1e-12
+        e = attention_energies(head, states)
+        assert np.abs(e_node.value[rows] - e).max() <= 1e-12
+        assert np.abs(beta_node.value[rows] - beta_parallel(alpha, e)).max() <= 1e-12
 
 
 def test_forced_last_column_graph_matches():
-    heads, states, _, _ = toy_instance(4)
-    head = heads[0]
-    t = Tape()
-    leaves = graph.head_leaves(t, head)
-    p_node = graph.stepwise_nodes(t, leaves, t.constant(states.s),
-                                  t.constant(states.h))
-    alpha_node = t.monotonic_alignment(p_node, force_last_column=True)
-    alpha = alignment_parallel(stepwise_probability(head, states),
-                               force_last_column=True)
-    assert np.abs(alpha_node.value - alpha).max() <= 1e-12
+    heads, states, _, readout = toy_instance(4)
+    _, alpha_node, _, _ = fused_heads(heads, readout, states, force_last_column=True)
+    n = states.target_len
+    for k, head in enumerate(heads):
+        alpha = alignment_parallel(stepwise_probability(head, states),
+                                   force_last_column=True)
+        assert np.abs(alpha_node.value[k * n:(k + 1) * n] - alpha).max() <= 1e-12
     assert np.allclose(alpha_node.value.sum(axis=1), 1.0, atol=1e-10)
 
 
 def test_feedforward_nodes_equal_feedforward_apply():
-    heads, states, _, _ = toy_instance(5)
-    for ffn, x in ((heads[0].ffn_s, states.s), (heads[1].ffn_h, states.h)):
-        t = Tape()
-        out = graph.feedforward_nodes(t, t.constant(x),
-                                      [t.leaf(w) for w in ffn.weights],
-                                      [t.leaf(b) for b in ffn.biases])
-        assert np.array_equal(out.value, ffn.apply(x))
+    # the FFN activations the stepwise op keeps for its adjoint are
+    # FeedForward.apply of every head, bit for bit
+    heads, states, _, readout = toy_instance(5)
+    p_node = fused_heads(heads, readout, states)[0]
+    _, _, acts_s, acts_h = p_node.saved[0]
+    for k, head in enumerate(heads):
+        assert np.array_equal(acts_s[-1][k], head.ffn_s.apply(states.s))
+        assert np.array_equal(acts_h[-1][k], head.ffn_h.apply(states.h))
 
 
 @pytest.mark.parametrize("seed", [3, 6])
@@ -180,6 +183,18 @@ def test_pack_unpack_roundtrip():
     r1 = emma_objective(heads, states, targets, LossWeights(), readout)
     r2 = emma_objective(heads2, states, targets, LossWeights(), readout2)
     assert r1.loss == r2.loss
+
+
+def test_flat_parameters_replace_the_template_values():
+    heads, states, targets, readout = toy_instance(9)
+    theta = pack_parameters(heads, readout) * 0.9 + 0.01
+    new_heads, new_readout = unpack_parameters(theta, heads, readout)
+    weights = LossWeights(0.4, 0.2)
+    a = emma_objective(heads, states, targets, weights, readout, theta=theta)
+    b = emma_objective(new_heads, states, targets, weights, new_readout)
+    assert a.loss == b.loss and np.array_equal(a.gradient, b.gradient)
+    with pytest.raises(ValueError, match="parameters"):
+        emma_objective(heads, states, targets, weights, readout, theta=theta[:-1])
 
 
 def test_delay_mean_reflects_alignment():

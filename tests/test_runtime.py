@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from emma_stream.runtime import (EOS_TOKEN, READ, WRITE, RuntimeConfig,
-                                 SourceChunk, StreamInstance, decide,
-                                 run_stream, scripted_probability_model,
+from emma_stream.runtime import (EOS_TOKEN, READ, WRITE, PrefixView,
+                                 RuntimeConfig, SourceChunk, StreamInstance,
+                                 decide, run_stream, scripted_probability_model,
                                  scripted_waitk_model, trace_to_lines)
 
 
@@ -235,6 +235,22 @@ def test_reencode_consistency_and_determinism():
     t1 = run_stream(model, inst, RuntimeConfig())
     t2 = run_stream(scripted_waitk_model(2), inst, RuntimeConfig())
     assert trace_to_lines(t1) == trace_to_lines(t2)
+
+
+def test_prefix_view_reads_like_the_tuple_prefix():
+    items = tuple(range(10, 17))
+    slices = [slice(None), slice(1, None), slice(None, -1), slice(None, None, -1),
+              slice(2, 100, 2), slice(-3, None), slice(5, 1)]
+    for n in range(len(items) + 1):
+        view, want = PrefixView(items, n), items[:n]
+        assert len(view) == n and tuple(view) == want and view == want
+        assert [view[i] for i in range(-n, n)] == [want[i] for i in range(-n, n)]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[bad]
+        assert all(view[sl] == want[sl] for sl in slices)
+    with pytest.raises(ValueError):
+        PrefixView(items, len(items) + 1)
 
 
 def test_trace_lines_roundtrip():

@@ -5,6 +5,8 @@ import zlib
 import numpy as np
 import pytest
 
+from emma_stream.emma.params import (pack_parameters, parameter_slots,
+                                     random_head, random_readout, random_states)
 from emma_stream.errors import DomainError, ShapeError
 from emma_stream.numerics import Tape, central_difference_gradient, finite_diff_check
 
@@ -193,7 +195,32 @@ def test_replay_reproduces_values():
     beta = t.lookback_attention(t.add(alpha, forced), [t.exp(a), t.exp(t.tanh(a))])
     d = t.sum(t.row_softmax(t.matmul(beta, t.transpose(a))))
     assert np.isfinite(d.item())
+    # the fused policy-head ops and the objective's tail ops
+    heads = [random_head(rng, 4, 3, depth=2) for _ in range(2)]
+    readout = random_readout(rng, 2, 3)
+    states = random_states(rng, 5, 3, 4, 2)
+    slots, (w_out, b_out) = parameter_slots(heads, readout)
+    theta = t.leaf(pack_parameters(heads, readout))
+    p_all = t.stepwise(theta, states.s, states.h, slots)
+    alpha_all = t.monotonic_alignment(p_all, heads=2)
+    beta_all = t.lookback_attention(alpha_all, t.energies(theta, states.s, states.h, slots))
+    logits = t.affine(t.matmul(beta_all, t.constant(states.v)), theta, w_out, b_out)
+    loss = t.add(t.cross_entropy(logits, [0, 2, 1, 1, 0, 2]),
+                 t.sum(t.delay_moments(alpha_all, [0.0, 1.5, 3.0])))
+    assert np.isfinite(loss.item())
     t.replay()  # raises on any bit-level mismatch
+
+
+def test_backward_gradients_are_read_only():
+    # add hands one array to both parents; neither may be written through
+    t = Tape()
+    a, b = t.leaf([[1.0, 2.0]]), t.leaf([[3.0, 4.0]])
+    grads = t.backward(t.sum(t.add(a, b)))
+    assert np.array_equal(grads[a.index], [[1.0, 1.0]])
+    for g in grads:
+        with pytest.raises(ValueError):
+            g[0, 0] = 5.0
+    assert np.array_equal(grads[b.index], [[1.0, 1.0]])
 
 
 def test_add_bias_rejects_other_shapes():
