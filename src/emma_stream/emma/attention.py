@@ -36,8 +36,6 @@ def attention_energies(params: PolicyHeadParams, states: EncDecStates) -> np.nda
     formula is :func:`emma_stream.numerics.policy.energies_forward`, the
     forward the objective's ``Tape.energies`` op records.
     """
-    if not params.has_energy_projections:
-        raise ValueError("head has no w_q/w_k energy projections")
     return energies_forward(states.s, states.h, params.w_q, params.w_k)[0]
 
 

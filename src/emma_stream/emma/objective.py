@@ -5,7 +5,7 @@ loss value and the returned gradient come from one graph. Every trainable
 array is read from one leaf, the flat parameter vector of
 :func:`~emma_stream.emma.params.pack_parameters`: the policy heads through
 the fused ``Tape.stepwise`` and ``Tape.energies`` ops, the readout through
-``Tape.view``. The gradient is that leaf's gradient, in the same order.
+``Tape.affine``. The gradient is that leaf's gradient, in the same order.
 """
 
 from __future__ import annotations

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import ShapeError
-from ..numerics.policy import HeadSlots, ffn_forward
+from ..numerics.policy import HeadSlots, ffn_forward, view
 
 __all__ = [
     "FeedForward",
@@ -68,11 +67,6 @@ class FeedForward:
     def output_dim(self) -> int:
         return self.weights[-1].shape[1]
 
-    def arrays(self) -> Iterator[np.ndarray]:
-        for w, b in zip(self.weights, self.biases):
-            yield w
-            yield b
-
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         return list(zip(self.weights, self.biases))
 
@@ -82,16 +76,17 @@ class FeedForward:
 
 @dataclass(frozen=True)
 class PolicyHeadParams:
-    """One attention head's policy: energy-projection networks, a learnable
-    bias, a fixed temperature, and (optionally) the query/key projections
-    used for its soft attention energies."""
+    """One attention head's policy: energy-projection networks, the
+    query/key projections of its soft attention energies, a learnable bias
+    and a fixed temperature. Every objective and every trained model reads
+    all four arrays, so ``w_q`` and ``w_k`` are required."""
 
     ffn_s: FeedForward
     ffn_h: FeedForward
+    w_q: np.ndarray
+    w_k: np.ndarray
     bias: float = DEFAULT_BIAS
     temperature: float = DEFAULT_TEMPERATURE
-    w_q: np.ndarray | None = None
-    w_k: np.ndarray | None = None
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -100,26 +95,9 @@ class PolicyHeadParams:
             raise ShapeError(
                 f"energy projections disagree: {self.ffn_s.output_dim} vs "
                 f"{self.ffn_h.output_dim}")
-        if (self.w_q is None) != (self.w_k is None):
-            raise ValueError("w_q and w_k must be provided together")
-        if self.w_q is not None:
-            _as_weight(self.w_q, "w_q")
-            _as_weight(self.w_k, "w_k")
-            if self.w_q.shape[1] != self.w_k.shape[1]:
-                raise ShapeError("w_q and w_k must share their output dimension")
-
-    @property
-    def has_energy_projections(self) -> bool:
-        return self.w_q is not None
-
-    def arrays(self) -> Iterator[np.ndarray]:
-        """Trainable arrays in a fixed order (temperature excluded)."""
-        yield from self.ffn_s.arrays()
-        yield from self.ffn_h.arrays()
-        yield np.array([[self.bias]])
-        if self.w_q is not None:
-            yield self.w_q
-            yield self.w_k
+        w_q, w_k = _as_weight(self.w_q, "w_q"), _as_weight(self.w_k, "w_k")
+        if w_q.shape[1] != w_k.shape[1]:
+            raise ShapeError("w_q and w_k must share their output dimension")
 
 
 @dataclass(frozen=True)
@@ -192,10 +170,6 @@ class Readout:
     def vocab_size(self) -> int:
         return self.w_out.shape[1]
 
-    def arrays(self) -> Iterator[np.ndarray]:
-        yield self.w_out
-        yield self.b_out
-
 
 # -- random construction -----------------------------------------------------
 
@@ -213,16 +187,16 @@ def random_feedforward(rng: np.random.Generator, in_dim: int, out_dim: int,
 
 def random_head(rng: np.random.Generator, d: int, d_k: int, depth: int = 2,
                 bias: float = DEFAULT_BIAS, temperature: float = DEFAULT_TEMPERATURE,
-                scale: float = 0.5, with_energy_projections: bool = True) -> PolicyHeadParams:
-    w_q = rng.normal(scale=scale, size=(d, d_k)) if with_energy_projections else None
-    w_k = rng.normal(scale=scale, size=(d, d_k)) if with_energy_projections else None
+                scale: float = 0.5) -> PolicyHeadParams:
+    w_q = rng.normal(scale=scale, size=(d, d_k))
+    w_k = rng.normal(scale=scale, size=(d, d_k))
     return PolicyHeadParams(
         ffn_s=random_feedforward(rng, d, d_k, depth, scale),
         ffn_h=random_feedforward(rng, d, d_k, depth, scale),
-        bias=bias,
-        temperature=temperature,
         w_q=w_q,
         w_k=w_k,
+        bias=bias,
+        temperature=temperature,
     )
 
 
@@ -243,33 +217,9 @@ def random_states(rng: np.random.Generator, source_len: int, target_len: int,
 
 # -- flattening for gradient checks and plain gradient descent ---------------
 
-def _all_arrays(heads, readout) -> list[np.ndarray]:
-    arrays = []
-    for hp in heads:
-        arrays.extend(hp.arrays())
-    arrays.extend(readout.arrays())
-    return arrays
-
-
-def pack_parameters(heads: list[PolicyHeadParams], readout: Readout) -> np.ndarray:
-    """Flatten every trainable array (fixed order) into one vector."""
-    return np.concatenate([a.ravel() for a in _all_arrays(heads, readout)])
-
-
-def _shape_key(hp: PolicyHeadParams) -> tuple:
-    return (tuple(w.shape for w in hp.ffn_s.weights),
-            tuple(w.shape for w in hp.ffn_h.weights),
-            None if hp.w_q is None else (hp.w_q.shape, hp.w_k.shape))
-
-
-def parameter_slots(heads: list[PolicyHeadParams], readout: Readout):
-    """Where :func:`pack_parameters` puts each array: a
-    :class:`~emma_stream.numerics.policy.HeadSlots` for the heads, which
-    must share one shape and have energy projections, and the readout's
-    ``(w_out, b_out)`` slots."""
-    key = _shape_key(heads[0])
-    if key[2] is None or any(_shape_key(hp) != key for hp in heads[1:]):
-        raise ValueError("policy heads must share one shape, with w_q/w_k")
+def _head_slots(hp: PolicyHeadParams, temperature: tuple[float, ...]) -> HeadSlots:
+    """Head ``hp``'s part of theta: per FFN_s then FFN_h layer its weight and
+    bias, then [[bias]], w_q and w_k, each flattened row-major."""
     pos = 0
 
     def slot(shape: tuple[int, int]):
@@ -277,43 +227,56 @@ def parameter_slots(heads: list[PolicyHeadParams], readout: Readout):
         pos += shape[0] * shape[1]
         return (pos - shape[0] * shape[1],) + shape
 
-    ffn_s, ffn_h = (tuple((slot(w), slot((1, w[1]))) for w in ws) for ws in key[:2])
-    bias, w_q, w_k = slot((1, 1)), slot(key[2][0]), slot(key[2][1])
-    head = HeadSlots(pos, ffn_s, ffn_h, bias, w_q, w_k,
-                     tuple(hp.temperature for hp in heads))
-    pos *= len(heads)
-    return head, (slot(readout.w_out.shape), slot(readout.b_out.shape))
+    ffn_s, ffn_h = (tuple((slot(w.shape), slot(b.shape)) for w, b in ffn.layers())
+                    for ffn in (hp.ffn_s, hp.ffn_h))
+    bias, w_q, w_k = slot((1, 1)), slot(hp.w_q.shape), slot(hp.w_k.shape)
+    return HeadSlots(pos, ffn_s, ffn_h, bias, w_q, w_k, temperature)
+
+
+def parameter_slots(heads: list[PolicyHeadParams], readout: Readout):
+    """The layout of theta, the flat parameter vector: a
+    :class:`~emma_stream.numerics.policy.HeadSlots` for the heads, which
+    must share one shape and lie one after another, and then the readout's
+    ``(w_out, b_out)`` slots. :func:`pack_parameters` writes through these
+    slots and :func:`unpack_parameters` reads through them."""
+    temperature = tuple(hp.temperature for hp in heads)
+    head = _head_slots(heads[0], temperature)
+    if any(_head_slots(hp, temperature) != head for hp in heads[1:]):
+        raise ValueError("policy heads must share one shape")
+    w_out = (head.n_heads * head.stride,) + readout.w_out.shape
+    return head, (w_out, (w_out[0] + readout.w_out.size,) + readout.b_out.shape)
+
+
+def pack_parameters(heads: list[PolicyHeadParams], readout: Readout) -> np.ndarray:
+    """Every trainable array (temperatures excluded) in one vector, laid out
+    by :func:`parameter_slots`."""
+    head, (w_out, b_out) = parameter_slots(heads, readout)
+    theta = np.empty(b_out[0] + b_out[2])
+    for row, hp in zip(head.block(theta), heads):
+        for slots, ffn in ((head.ffn_s, hp.ffn_s), (head.ffn_h, hp.ffn_h)):
+            for (w, b), layer in zip(slots, ffn.layers()):
+                view(row, w)[...], view(row, b)[...] = layer
+        view(row, head.bias)[...] = hp.bias
+        view(row, head.w_q)[...], view(row, head.w_k)[...] = hp.w_q, hp.w_k
+    view(theta, w_out)[...], view(theta, b_out)[...] = readout.w_out, readout.b_out
+    return theta
 
 
 def unpack_parameters(theta: np.ndarray, heads: list[PolicyHeadParams],
                       readout: Readout) -> tuple[list[PolicyHeadParams], Readout]:
     """Rebuild head and readout containers from a flat vector, using the
-    given containers as shape templates."""
+    given containers as shape templates; the arrays are views of ``theta``."""
+    head, (w_out, b_out) = parameter_slots(heads, readout)
     theta = np.asarray(theta, dtype=np.float64).ravel()
-    expected = sum(a.size for a in _all_arrays(heads, readout))
-    if theta.size != expected:
-        raise ValueError(f"expected {expected} parameters, got {theta.size}")
+    if theta.size != b_out[0] + b_out[2]:
+        raise ValueError(f"expected {b_out[0] + b_out[2]} parameters, got {theta.size}")
 
-    pos = 0
+    def ffn(row, slots) -> FeedForward:
+        return FeedForward(tuple(view(row, w) for w, _ in slots),
+                           tuple(view(row, b) for _, b in slots))
 
-    def take(template: np.ndarray) -> np.ndarray:
-        nonlocal pos
-        out = theta[pos:pos + template.size].reshape(template.shape)
-        pos += template.size
-        return out
-
-    new_heads = []
-    for hp in heads:
-        ffns = []
-        for ffn in (hp.ffn_s, hp.ffn_h):
-            ws = tuple(take(w) for pair in zip(ffn.weights, ffn.biases) for w in pair)
-            ffns.append(FeedForward(ws[0::2], ws[1::2]))
-        bias = float(take(np.empty((1, 1)))[0, 0])
-        if hp.w_q is not None:
-            w_q, w_k = take(hp.w_q), take(hp.w_k)
-        else:
-            w_q = w_k = None
-        new_heads.append(replace(hp, ffn_s=ffns[0], ffn_h=ffns[1], bias=bias,
-                                 w_q=w_q, w_k=w_k))
-    new_readout = Readout(take(readout.w_out), take(readout.b_out))
-    return new_heads, new_readout
+    new_heads = [replace(hp, ffn_s=ffn(row, head.ffn_s), ffn_h=ffn(row, head.ffn_h),
+                         bias=float(view(row, head.bias)[0, 0]),
+                         w_q=view(row, head.w_q), w_k=view(row, head.w_k))
+                 for row, hp in zip(head.block(theta), heads)]
+    return new_heads, Readout(view(theta, w_out), view(theta, b_out))

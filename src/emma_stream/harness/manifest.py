@@ -28,9 +28,16 @@ class Manifest:
         model_parameters(self.model_kind, self.model_parameters)
         if self.seed < 0:
             raise ValueError(f"seed must be at least 0, got {self.seed!r}")
+        # a threshold names its trace directory and report row to six decimals
+        named: dict[str, float] = {}
         for t in self.sweep:
             if not 0.0 < t < 1.0:
                 raise ValueError(f"sweep threshold {t} outside (0,1)")
+            name = f"{t:.6f}"
+            if name in named:
+                raise ValueError(f"sweep thresholds {named[name]} and {t} are "
+                                 f"equal to six decimals ({name})")
+            named[name] = t
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Manifest":

@@ -143,7 +143,6 @@ def trained_heads_for_model(parameters: dict, seed: int):
         steps=parameters["steps"],
         learning_rate=parameters["learning_rate"],
         seed=seed if train_seed is None else train_seed,
-        weight_settings=(weights, weights),  # single setting, trained once
     )
     run = train_single(config, weights)
     return run.heads, config.d

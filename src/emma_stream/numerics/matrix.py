@@ -2,8 +2,8 @@
 
 Every function here takes and returns 2-D ``float64`` numpy arrays and
 performs explicit shape validation instead of relying on broadcasting.
-The catalog is deliberately small: elementwise product, matrix multiply,
-sigmoid, row softmax, and log.
+The catalog is deliberately small: matrix multiply, sigmoid, row softmax,
+and log.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from ..errors import DomainError, ShapeError
 
 __all__ = [
     "as_matrix",
-    "hadamard",
     "matmul",
     "sigmoid",
     "row_softmax",
@@ -38,13 +37,6 @@ def as_matrix(value, *, name: str = "matrix") -> np.ndarray:
 def _check_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not conform")
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Elementwise product of two equal-shape matrices."""
-    a, b = as_matrix(a), as_matrix(b)
-    _check_same_shape(a, b, "hadamard")
-    return a * b
 
 
 def matmul(a, b) -> np.ndarray:

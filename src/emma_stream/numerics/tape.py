@@ -4,12 +4,13 @@ A :class:`Tape` records every primitive application as a :class:`Node`
 holding the operation kind, parent indices, and the forward value.  Nodes
 are appended in execution order, so the list is always topologically
 sorted and :meth:`Tape.backward` is a single reverse sweep.  Values are
-2-D float64 arrays, frozen on creation; scalars are 1-by-1 matrices.
-Shapes must match exactly, except that :meth:`Tape.add_bias` broadcasts a
-row or a scalar.  An op whose adjoint reads forward intermediates keeps
-them in ``Node.saved``.  The policy-head ops :meth:`Tape.stepwise` and
-:meth:`Tape.energies` read every head's parameters from one flat 1 x n
-parameter row, and :meth:`Tape.affine` reads its weights from it too.
+2-D float64 arrays, frozen on creation; scalars are 1-by-1 matrices, and
+shapes must match exactly.  An op whose adjoint reads forward
+intermediates keeps them in ``Node.saved``.  The policy-head ops
+:meth:`Tape.stepwise` and :meth:`Tape.energies` read every head's
+parameters from one flat 1 x n parameter row, and :meth:`Tape.affine`
+reads its weights from it too.  Several heads travel as one node, stacked
+by row.
 
 Only first-order gradients of a single scalar output are supported, and a
 tape must stay on the thread that created it.
@@ -17,7 +18,7 @@ tape must stay on the thread that created it.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -58,35 +59,6 @@ class Node:
             raise ShapeError(f"item() requires a 1x1 value, got {self.value.shape}")
         return float(self.value[0, 0])
 
-    # Operator sugar; scalars fold into scale/shift ops.
-    def __add__(self, other):
-        if isinstance(other, Node):
-            return self.tape.add(self, other)
-        return self.tape.shift(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Node):
-            return self.tape.sub(self, other)
-        return self.tape.shift(self, -float(other))
-
-    def __rsub__(self, other):
-        return self.tape.shift(self.tape.scale(self, -1.0), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Node):
-            return self.tape.mul(self, other)
-        return self.tape.scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.tape.scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return self.tape.matmul(self, other)
-
     def __repr__(self) -> str:
         return f"Node(#{self.index} {self.op} {self.value.shape})"
 
@@ -96,22 +68,16 @@ class Node:
 # `leaf` has no rule; replay restores its stored value directly.
 _FORWARD: dict[str, Callable] = {
     "add": lambda vs, m: vs[0] + vs[1],
-    "sub": lambda vs, m: vs[0] - vs[1],
     "mul": lambda vs, m: vs[0] * vs[1],
     "matmul": lambda vs, m: vs[0] @ vs[1],
-    "scale": lambda vs, m: vs[0] * m[0],
-    "shift": lambda vs, m: vs[0] + m[0],
-    "add_bias": lambda vs, m: vs[0] + vs[1],
     "sigmoid": lambda vs, m: mx.sigmoid(vs[0]),
     "tanh": lambda vs, m: np.tanh(vs[0]),
     "exp": lambda vs, m: np.exp(vs[0]),
     "log": lambda vs, m: np.log(vs[0]),
     "row_softmax": lambda vs, m: mx.row_softmax(vs[0]),
     "sum": lambda vs, m: np.array([[vs[0].sum()]]),
-    "vstack": lambda vs, m: np.vstack(vs),
-    "transpose": lambda vs, m: vs[0].T.copy(),
-    "monotonic_alignment": lambda vs, m: _stacked_alignment(vs, *m),
-    "lookback_attention": lambda vs, m: _stacked_lookback(vs),
+    "monotonic_alignment": lambda vs, m: _alignment(vs[0], *m),
+    "lookback_attention": lambda vs, m: monotonic.lookback_forward(*vs),
     "stepwise": lambda vs, m: policy.heads_stepwise(vs[0].reshape(-1), *m),
     "energies": lambda vs, m: policy.heads_energies(vs[0].reshape(-1), *m),
     "affine": lambda vs, m: vs[0] @ _slot(vs[1], m[0]) + _slot(vs[1], m[1]),
@@ -120,10 +86,8 @@ _FORWARD: dict[str, Callable] = {
 }
 
 
-def _stacked_alignment(ps: list[np.ndarray], force_last_column: bool,
-                       n_heads: int):
-    """Alignment of the row-stacked heads of every parent in one wavefront."""
-    p = ps[0] if len(ps) == 1 else np.concatenate(ps)
+def _alignment(p: np.ndarray, force_last_column: bool, n_heads: int):
+    """Alignment of the row-stacked heads of ``p`` in one wavefront."""
     alpha, *saved = monotonic.alignment_forward(
         p.reshape(n_heads, -1, p.shape[1]), force_last_column)
     return (alpha.reshape(-1, alpha.shape[2]), *saved)
@@ -157,36 +121,11 @@ def _cross_entropy(logits: np.ndarray, targets: np.ndarray):
     return np.array([[-(onehot * np.log(softmax)).sum()]]), softmax
 
 
-def _stacked_lookback(vs: list[np.ndarray]):
-    """Lookback of the row-stacked alpha ``vs[0]`` over the heads' energies
-    ``vs[1:]``; keeps the stacked energies for the adjoint."""
-    e = np.concatenate(vs[1:])
-    beta, r, s = monotonic.lookback_forward(vs[0], e)
-    return beta, e, r, s
-
-
-def _split(a: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """``a`` split into ``n`` row blocks, one per parent."""
-    return (a,) if n == 1 else tuple(np.split(a, n))
-
-
-def _stacked_alignment_adjoint(ps, qs, grad: np.ndarray, force_last_column: bool,
-                               n_parents: int):
+def _alignment_adjoint(ps, qs, grad: np.ndarray, force_last_column: bool):
     n_heads, n_target = ps.shape[1:]
     p_adj = monotonic.alignment_adjoint(
         ps, qs, grad.reshape(n_heads, n_target, -1), force_last_column)
-    return _split(p_adj.reshape(grad.shape), n_parents)
-
-
-def _stacked_lookback_adjoint(alpha, e, r, s, grad: np.ndarray, n_heads: int):
-    alpha_adj, e_adj = monotonic.lookback_adjoint(alpha, e, r, s, grad)
-    return (alpha_adj, *_split(e_adj, n_heads))
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Sum ``grad`` over the axes a 1 x n row or a 1 x 1 scalar was broadcast on."""
-    out = grad.sum(axis=0, keepdims=True)
-    return out.sum(axis=1, keepdims=True) if shape[1] == 1 else out
+    return (p_adj.reshape(grad.shape),)
 
 
 def _affine_adjoint(x: np.ndarray, theta: np.ndarray, grad: np.ndarray, slots):
@@ -216,37 +155,22 @@ def _softmax_adjoint(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return y * (grad - inner)
 
 
-def _vstack_adjoint(grad: np.ndarray, row_counts: tuple[int, ...]):
-    grads = []
-    offset = 0
-    for r in row_counts:
-        grads.append(grad[offset:offset + r, :])
-        offset += r
-    return tuple(grads)
-
-
 # Adjoint rules: (node value, upstream grad, parent values, meta, saved)
 # -> per-parent grads.
 _BACKWARD: dict[str, Callable] = {
     "add": lambda y, g, vs, m, s: (g, g),
-    "sub": lambda y, g, vs, m, s: (g, -g),
     "mul": lambda y, g, vs, m, s: (g * vs[1], g * vs[0]),
     "matmul": lambda y, g, vs, m, s: (g @ vs[1].T, vs[0].T @ g),
-    "scale": lambda y, g, vs, m, s: (g * m[0],),
-    "shift": lambda y, g, vs, m, s: (g,),
-    "add_bias": lambda y, g, vs, m, s: (g, _unbroadcast(g, vs[1].shape)),
     "sigmoid": lambda y, g, vs, m, s: (g * y * (1.0 - y),),
     "tanh": lambda y, g, vs, m, s: (g * (1.0 - y * y),),
     "exp": lambda y, g, vs, m, s: (g * y,),
     "log": lambda y, g, vs, m, s: (g / vs[0],),
     "row_softmax": lambda y, g, vs, m, s: (_softmax_adjoint(y, g),),
     "sum": lambda y, g, vs, m, s: (np.full_like(vs[0], g[0, 0]),),
-    "vstack": lambda y, g, vs, m, s: _vstack_adjoint(g, m),
-    "transpose": lambda y, g, vs, m, s: (g.T.copy(),),
     "monotonic_alignment": lambda y, g, vs, m, s:
-        _stacked_alignment_adjoint(s[0], s[1], g, m[0], len(vs)),
+        _alignment_adjoint(*s, g, m[0]),
     "lookback_attention": lambda y, g, vs, m, s:
-        _stacked_lookback_adjoint(vs[0], *s, g, len(vs) - 1),
+        monotonic.lookback_adjoint(*vs, *s, g),
     "stepwise": lambda y, g, vs, m, s: (policy.heads_stepwise_adjoint(
         vs[0].reshape(-1), y, s[0], m[2], g).reshape(vs[0].shape),),
     "energies": lambda y, g, vs, m, s: (policy.heads_energies_adjoint(
@@ -305,17 +229,10 @@ class Tape:
         """A leaf whose gradient the caller does not intend to read."""
         return self.leaf(value)
 
-    def scalar(self, value: float) -> Node:
-        return self.leaf(np.array([[float(value)]]))
-
     # -- primitives --------------------------------------------------------
     def add(self, a: Node, b: Node) -> Node:
         mx._check_same_shape(a.value, b.value, "add")
         return self._record("add", (a, b))
-
-    def sub(self, a: Node, b: Node) -> Node:
-        mx._check_same_shape(a.value, b.value, "sub")
-        return self._record("sub", (a, b))
 
     def mul(self, a: Node, b: Node) -> Node:
         mx._check_same_shape(a.value, b.value, "mul")
@@ -326,21 +243,6 @@ class Tape:
             raise ShapeError(
                 f"matmul: shapes {a.value.shape} and {b.value.shape} do not conform")
         return self._record("matmul", (a, b))
-
-    def scale(self, a: Node, c: float) -> Node:
-        return self._record("scale", (a,), (float(c),))
-
-    def shift(self, a: Node, c: float) -> Node:
-        return self._record("shift", (a,), (float(c),))
-
-    def add_bias(self, a: Node, b: Node) -> Node:
-        """``a`` plus a 1 x n row ``b`` added to every row, or plus a 1 x 1
-        scalar ``b`` added to every entry."""
-        if b.value.shape not in ((1, a.value.shape[1]), (1, 1)):
-            raise ShapeError(
-                f"add_bias: bias {b.value.shape} is neither a 1x{a.value.shape[1]} "
-                "row nor a 1x1 scalar")
-        return self._record("add_bias", (a, b))
 
     def sigmoid(self, a: Node) -> Node:
         return self._record("sigmoid", (a,))
@@ -359,61 +261,30 @@ class Tape:
     def row_softmax(self, a: Node) -> Node:
         return self._record("row_softmax", (a,))
 
-    def transpose(self, a: Node) -> Node:
-        return self._record("transpose", (a,))
-
     def sum(self, a: Node) -> Node:
         """Total sum as a 1x1 matrix."""
         return self._record("sum", (a,))
 
-    def vstack(self, rows: list[Node]) -> Node:
-        if not rows:
-            raise ValueError("vstack: need at least one row")
-        cols = rows[0].value.shape[1]
-        for r in rows:
-            if r.value.shape[1] != cols:
-                raise ShapeError("vstack: rows have differing widths")
-        return self._record("vstack", tuple(rows),
-                            tuple(r.value.shape[0] for r in rows))
-
-    def monotonic_alignment(self, p: Node | Sequence[Node],
-                            force_last_column: bool = False,
+    def monotonic_alignment(self, p: Node, force_last_column: bool = False,
                             heads: int = 1) -> Node:
-        """Expected monotonic alignment of stepwise probabilities in one
-        wavefront (see :mod:`emma_stream.numerics.monotonic`): of ``p``,
-        which stacks ``heads`` heads by row, or of several same-shape such
-        nodes. Recorded as one node whose value stacks every head's
-        alignment by row, in order."""
-        parents = (p,) if isinstance(p, Node) else tuple(p)
-        if not parents:
-            raise ValueError("monotonic_alignment: need at least one head")
-        for q in parents[1:]:
-            mx._check_same_shape(parents[0].value, q.value, "monotonic_alignment")
-        if heads < 1 or parents[0].value.shape[0] % heads:
-            raise ShapeError(
-                f"monotonic_alignment: {parents[0].value.shape[0]} rows do not "
-                f"stack {heads} heads")
-        return self._record("monotonic_alignment", parents,
-                            (bool(force_last_column), heads * len(parents)))
+        """Expected monotonic alignment of the stepwise probabilities ``p``,
+        which stack ``heads`` heads by row, in one wavefront (see
+        :mod:`emma_stream.numerics.monotonic`). Recorded as one node whose
+        value stacks every head's alignment by row, in order."""
+        if heads < 1 or p.value.shape[0] % heads:
+            raise ShapeError(f"monotonic_alignment: {p.value.shape[0]} rows do "
+                             f"not stack {heads} heads")
+        return self._record("monotonic_alignment", (p,),
+                            (bool(force_last_column), heads))
 
-    def lookback_attention(self, alpha: Node, e: Node | Sequence[Node]) -> Node:
+    def lookback_attention(self, alpha: Node, e: Node) -> Node:
         """Infinite-lookback attention of the row-stacked alignments ``alpha``
-        over each head's energies ``e`` (one node, or one per head, in
-        ``alpha``'s row order), recorded as one node shaped like ``alpha``."""
-        heads = (e,) if isinstance(e, Node) else tuple(e)
-        if not heads:
-            raise ValueError("lookback_attention: need at least one head")
-        for energy in heads:
-            mx._check_same_shape(heads[0].value, energy.value, "lookback_attention")
-            if np.any(energy.value <= 0.0):
-                raise DomainError(
-                    "lookback_attention: energies must be strictly positive")
-        rows, cols = heads[0].value.shape
-        if alpha.value.shape != (len(heads) * rows, cols):
-            raise ShapeError(
-                f"lookback_attention: alpha {alpha.value.shape} does not stack "
-                f"{len(heads)} heads of {heads[0].value.shape}")
-        return self._record("lookback_attention", (alpha, *heads))
+        over the energies ``e``, stacked alike; one node shaped like
+        ``alpha``."""
+        mx._check_same_shape(alpha.value, e.value, "lookback_attention")
+        if np.any(e.value <= 0.0):
+            raise DomainError("lookback_attention: energies must be strictly positive")
+        return self._record("lookback_attention", (alpha, e))
 
     def stepwise(self, theta: Node, s: np.ndarray, h: np.ndarray,
                  heads: policy.HeadSlots) -> Node:

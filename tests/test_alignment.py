@@ -17,6 +17,7 @@ def zero_ffn(in_dim, out_dim):
 
 def zero_head(d=3, bias=0.0, temperature=1.0):
     return PolicyHeadParams(ffn_s=zero_ffn(d, d), ffn_h=zero_ffn(d, d),
+                            w_q=np.zeros((d, d)), w_k=np.zeros((d, d)),
                             bias=bias, temperature=temperature)
 
 
@@ -59,7 +60,8 @@ def test_nonpositive_temperature_rejected():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ShapeError):
-        PolicyHeadParams(ffn_s=zero_ffn(3, 2), ffn_h=zero_ffn(3, 5))
+        PolicyHeadParams(ffn_s=zero_ffn(3, 2), ffn_h=zero_ffn(3, 5),
+                         w_q=np.zeros((3, 2)), w_k=np.zeros((3, 2)))
 
 
 def test_probabilities_strictly_inside_unit_interval():
@@ -67,7 +69,8 @@ def test_probabilities_strictly_inside_unit_interval():
     head = PolicyHeadParams(
         ffn_s=FeedForward((rng.normal(size=(3, 3)), rng.normal(size=(3, 3))),
                           (rng.normal(size=(1, 3)), rng.normal(size=(1, 3)))),
-        ffn_h=zero_ffn(3, 3), bias=-4.0, temperature=0.2)
+        ffn_h=zero_ffn(3, 3), w_q=np.zeros((3, 3)), w_k=np.zeros((3, 3)),
+        bias=-4.0, temperature=0.2)
     p = stepwise_probability(head, states_of(seed=5))
     assert np.all(p > 0.0) and np.all(p < 1.0)
 

@@ -97,13 +97,6 @@ def test_energies_are_positive_and_row_max_one():
     assert np.allclose(e.max(axis=1), 1.0)
 
 
-def test_energies_require_projections():
-    rng = np.random.default_rng(4)
-    head = random_head(rng, d=4, d_k=3, with_energy_projections=False)
-    with pytest.raises(ValueError):
-        attention_energies(head, random_states(rng, 5, 3, 4, 2))
-
-
 def test_output_selects_value_row():
     v = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     states = EncDecStates(h=np.zeros((3, 2)), s=np.zeros((1, 2)), v=v)

@@ -590,6 +590,25 @@ def test_cli_single_threshold_sweep_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sweep,override", [
+    ((0.5, 0.7, 0.5), None),
+    ((0.4, 0.7), "0.4,0.4000001"),
+])
+def test_cli_sweep_thresholds_equal_to_six_decimals_exit_2(tmp_path, capsys,
+                                                           sweep, override):
+    # both would write one threshold-<t:.6f> trace directory and report row
+    mpath = cli_manifest(tmp_path, sweep=sweep)
+    argv = ["sweep", "--manifest", str(mpath), "--trace-dir", str(tmp_path / "tr")]
+    if override is not None:
+        argv += ["--sweep", override]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    first, second = (0.5, 0.5) if override is None else (0.4, 0.4000001)
+    assert f"{first} and {second}" in err
+    assert not (tmp_path / "tr").exists()
+
+
 def test_cli_unparseable_args_exit_2(capsys):
     assert main(["evaluate"]) == 2
     capsys.readouterr()

@@ -145,8 +145,9 @@ def test_multi_head_forward_equals_per_head(shape, n_heads, force):
     assert np.array_equal(alignment_forward(p, force)[0], np.stack(per_head))
 
     t = Tape()
-    alpha = t.monotonic_alignment([t.leaf(ph) for ph in p], force)
-    beta = t.lookback_attention(alpha, [t.leaf(eh) for eh in e])
+    alpha = t.monotonic_alignment(t.leaf(p.reshape(-1, shape[1])), force,
+                                  heads=n_heads)
+    beta = t.lookback_attention(alpha, t.leaf(e.reshape(-1, shape[1])))
     assert np.array_equal(alpha.value, np.vstack(per_head))
     assert np.array_equal(beta.value, np.vstack(
         [lookback_forward(a, eh)[0] for a, eh in zip(per_head, e)]))
@@ -163,10 +164,12 @@ def test_two_head_adjoints_match_central_differences(shape, force):
     w_beta = rng.standard_normal((2 * shape[0], shape[1]))
 
     def record(theta):
+        # p, then e, each two heads stacked by row
         t = Tape()
-        leaves = [t.leaf(part.reshape(shape)) for part in np.split(theta, 4)]
-        alpha = t.monotonic_alignment(leaves[:2], force)
-        beta = t.lookback_attention(alpha, leaves[2:])
+        leaves = [t.leaf(part.reshape(2 * shape[0], shape[1]))
+                  for part in np.split(theta, 2)]
+        alpha = t.monotonic_alignment(leaves[0], force, heads=2)
+        beta = t.lookback_attention(alpha, leaves[1])
         out = t.add(t.sum(t.mul(alpha, t.constant(w_alpha))),
                     t.sum(t.mul(beta, t.constant(w_beta))))
         return t, leaves, out
@@ -177,32 +180,34 @@ def test_two_head_adjoints_match_central_differences(shape, force):
     central = central_difference_gradient(lambda th: record(th)[2].item(), theta, h=H)
     assert np.allclose(analytic, central, rtol=1e-6, atol=1e-8)
     if force:
-        for leaf in leaves[:2]:
-            assert np.all(grads[leaf.index][:, -1] == 0.0)
+        assert np.all(grads[leaves[0].index][:, -1] == 0.0)
 
 
 def test_multi_head_ops_reject_a_bad_head():
     t = Tape()
-    p = [t.leaf(np.full((2, 3), 0.4)), t.leaf(np.full((2, 3), 0.6))]
-    alpha = t.monotonic_alignment(p)
-    good = t.leaf(np.ones((2, 3)))
+    p = t.leaf(np.vstack([np.full((2, 3), 0.4), np.full((2, 3), 0.6)]))
+    alpha = t.monotonic_alignment(p, heads=2)
     with pytest.raises(DomainError):
-        t.lookback_attention(alpha, [good, t.leaf([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]])])
+        # a zero energy in the second head
+        t.lookback_attention(alpha, t.leaf([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
+                                            [1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
     with pytest.raises(ShapeError):
-        t.monotonic_alignment([p[0], t.leaf(np.full((2, 4), 0.4))])
+        t.monotonic_alignment(t.leaf(np.full((3, 4), 0.4)), heads=2)
     with pytest.raises(ShapeError):
-        t.lookback_attention(alpha, [good, t.leaf(np.ones((2, 4)))])
+        t.monotonic_alignment(p, heads=0)
     with pytest.raises(ShapeError):
-        t.lookback_attention(alpha, [good])
+        t.lookback_attention(alpha, t.leaf(np.ones((4, 4))))
     with pytest.raises(ShapeError):
-        t.lookback_attention(alpha, [good, good, good])
+        t.lookback_attention(alpha, t.leaf(np.ones((2, 3))))
+    with pytest.raises(ShapeError):
+        t.lookback_attention(alpha, t.leaf(np.ones((6, 3))))
 
 
 def test_multi_head_ops_record_one_node_each():
     t = Tape()
-    p = [t.leaf(np.full((6, 9), 0.1 * h)) for h in (1, 2, 3)]
-    e = [t.leaf(np.ones((6, 9))) for _ in p]
+    p = t.leaf(np.vstack([np.full((6, 9), 0.1 * h) for h in (1, 2, 3)]))
+    e = t.leaf(np.ones((18, 9)))
     before = len(t)
-    beta = t.lookback_attention(t.monotonic_alignment(p), e)
+    beta = t.lookback_attention(t.monotonic_alignment(p, heads=3), e)
     assert len(t) == before + 2
     assert beta.shape == (18, 9)

@@ -12,6 +12,7 @@ from emma_stream.emma import (EncDecStates, LossWeights, Readout,
 from emma_stream.emma.params import (parameter_slots, random_head,
                                      random_readout, random_states)
 from emma_stream.numerics import Tape, finite_diff_check
+from emma_stream.numerics.policy import view
 
 
 def toy_instance(seed, d=8, d_k=4, d_v=3, n_heads=2, vocab=5,
@@ -183,6 +184,43 @@ def test_pack_unpack_roundtrip():
     r1 = emma_objective(heads, states, targets, LossWeights(), readout)
     r2 = emma_objective(heads2, states, targets, LossWeights(), readout2)
     assert r1.loss == r2.loss
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_parameter_layout_is_pinned(n_heads, depth):
+    rng = np.random.default_rng(10 * n_heads + depth)
+    heads = [random_head(rng, 5, 3, depth=depth, bias=float(rng.normal()))
+             for _ in range(n_heads)]
+    readout = random_readout(rng, 2, 4)
+    # theta's layout written out: per head FFN_s (W, b) per layer, FFN_h
+    # (W, b) per layer, [[bias]], w_q, w_k; then w_out and b_out
+    reference = []
+    for hp in heads:
+        for ffn in (hp.ffn_s, hp.ffn_h):
+            for w, b in zip(ffn.weights, ffn.biases):
+                reference += [w, b]
+        reference += [np.array([[hp.bias]]), hp.w_q, hp.w_k]
+    reference += [readout.w_out, readout.b_out]
+    theta = pack_parameters(heads, readout)
+    assert np.array_equal(theta, np.concatenate([a.ravel() for a in reference]))
+
+    slots, (w_out, b_out) = parameter_slots(heads, readout)
+    for k, hp in enumerate(heads):
+        row = theta[k * slots.stride:(k + 1) * slots.stride]
+        named = [(slots.bias, [[hp.bias]]), (slots.w_q, hp.w_q), (slots.w_k, hp.w_k)]
+        for ffn_slots, ffn in ((slots.ffn_s, hp.ffn_s), (slots.ffn_h, hp.ffn_h)):
+            assert len(ffn_slots) == depth
+            for (w_slot, b_slot), w, b in zip(ffn_slots, ffn.weights, ffn.biases):
+                named += [(w_slot, w), (b_slot, b)]
+        for slot, array in named:
+            assert np.array_equal(view(row, slot), array)
+    assert np.array_equal(view(theta, w_out), readout.w_out)
+    assert np.array_equal(view(theta, b_out), readout.b_out)
+    assert b_out[0] + b_out[2] == theta.size
+
+    heads2, readout2 = unpack_parameters(2 * theta, heads, readout)
+    assert np.array_equal(pack_parameters(heads2, readout2), 2 * theta)
 
 
 def test_flat_parameters_replace_the_template_values():
