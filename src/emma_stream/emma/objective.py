@@ -6,6 +6,15 @@ array is read from one leaf, the flat parameter vector of
 :func:`~emma_stream.emma.params.pack_parameters`: the policy heads through
 the fused ``Tape.stepwise`` and ``Tape.energies`` ops, the readout through
 ``Tape.affine``. The gradient is that leaf's gradient, in the same order.
+
+Several loss-weight settings step in lockstep through one call: the leaf
+then has one row per setting, and the heads of every setting go through
+one stepwise, energies, alignment and lookback node. Each setting records
+its own tail (delay moments, head mean, readout, NLL and weighting) on
+its block of rows, and backward runs once from the sum of the losses.
+Each parameter slot of a row feeds only its own setting's loss, so each
+row of the leaf's gradient is that setting's gradient, bit for bit as if
+computed alone.
 """
 
 from __future__ import annotations
@@ -43,20 +52,30 @@ class ObjectiveResult:
 
 
 def emma_objective(heads: list[PolicyHeadParams], states: EncDecStates,
-                   targets, weights: LossWeights, readout: Readout, *,
+                   targets, weights: LossWeights | tuple[LossWeights, ...],
+                   readout: Readout, *,
                    force_last_column: bool = False,
                    latency_mode: str = "ideal-lag",
                    with_gradient: bool = True,
-                   theta: np.ndarray | None = None) -> ObjectiveResult:
-    """Loss and gradient of one instance.
+                   theta: np.ndarray | None = None):
+    """Loss and gradient of one instance, as an :class:`ObjectiveResult`.
 
     ``theta``, when given, is the flat parameter vector in
     :func:`~emma_stream.emma.params.pack_parameters` order; the arrays of
     ``heads`` and ``readout`` then serve only as shape templates, as in
     :func:`~emma_stream.emma.params.unpack_parameters`.
+
+    ``weights`` may also be a tuple of R settings. ``theta`` is then R x n,
+    row r holding setting r's parameters (without it, every row holds the
+    packed ``heads`` and ``readout``), and the result is a tuple of R
+    results, each equal to setting r's call on its own.
     """
+    lockstep = isinstance(weights, tuple)
+    settings = weights if lockstep else (weights,)
     if not heads:
         raise ValueError("objective needs at least one policy head")
+    if not settings:
+        raise ValueError("objective needs at least one loss-weight setting")
     targets = [int(v) for v in np.asarray(targets).ravel()]
     if len(targets) != states.target_len:
         raise ValueError(
@@ -71,38 +90,60 @@ def emma_objective(heads: list[PolicyHeadParams], states: EncDecStates,
         ideal = np.zeros(states.target_len)
     else:
         raise ValueError(f"unknown latency mode: {latency_mode!r}")
-    head_slots, (w_out_slot, b_out_slot) = parameter_slots(heads, readout)
+    layout = parameter_slots(heads, readout)
+    head_slots, (w_out_slot, b_out_slot) = layout
+    n_settings, n = len(settings), b_out_slot[0] + b_out_slot[2]
     if theta is None:
-        theta = pack_parameters(heads, readout)
-    elif np.size(theta) != b_out_slot[0] + b_out_slot[2]:
-        raise ValueError(f"expected {b_out_slot[0] + b_out_slot[2]} "
-                         f"parameters, got {np.size(theta)}")
+        theta = np.tile(pack_parameters(heads, readout, layout), (n_settings, 1))
+    elif (np.shape(theta) != (n_settings, n) if lockstep
+          else np.size(theta) != n):
+        raise ValueError(f"expected {n_settings} x {n} parameters, "
+                         f"got shape {np.shape(theta)}")
 
     t = Tape()
-    params = t.leaf(np.ravel(theta))
+    params = t.leaf(np.reshape(theta, (n_settings, n)))
     n_heads, n_target = len(heads), states.target_len
+    block = n_heads * n_target  # rows of one setting's stacked heads
 
-    # every head's probabilities, alignment and attention, stacked by row
+    # every setting's heads: probabilities, alignment and attention, stacked
+    # by row, setting by setting
     p = t.stepwise(params, states.s, states.h, head_slots)
     e = t.energies(params, states.s, states.h, head_slots)
-    alpha = t.monotonic_alignment(p, force_last_column, heads=n_heads)
-    moments = t.delay_moments(alpha, ideal)  # [latency, variance]
-    attn = t.matmul(t.lookback_attention(alpha, e), t.constant(states.v))
-    # the head average [I ... I] / H of the stacked rows, as one matmul
+    alpha = t.monotonic_alignment(p, force_last_column,
+                                  heads=n_settings * n_heads)
+    beta = t.lookback_attention(alpha, e)
+    v = t.constant(states.v)
+    # the head average [I ... I] / H of one setting's rows, as one matmul
     head_mean = t.constant(
-        (np.arange(n_heads * n_target) % n_target == np.arange(n_target)[:, None])
-        / n_heads)
-    logits = t.affine(t.matmul(head_mean, attn), params, w_out_slot, b_out_slot)
-    nll = t.cross_entropy(logits, targets)
-    loss = t.add(nll, t.matmul(moments, t.constant(
-        [[weights.lambda_latency], [weights.lambda_variance]])))
+        (np.arange(block) % n_target == np.arange(n_target)[:, None]) / n_heads)
 
-    latency, variance = moments.value[0]
-    return ObjectiveResult(
-        loss=loss.item(),
-        nll=nll.item(),
-        latency=float(latency),
-        variance=float(variance),
-        delay_mean=float(moments.saved[0].mean()),
-        gradient=t.backward(loss)[params.index].ravel() if with_gradient else None,
-    )
+    losses, parts = [], []
+    for r, w in enumerate(settings):
+        rows, shift = (r * block, (r + 1) * block), r * n
+        moments = t.delay_moments(t.rows(alpha, *rows), ideal)  # [latency, variance]
+        attn = t.matmul(t.rows(beta, *rows), v)
+        logits = t.affine(t.matmul(head_mean, attn), params,
+                          (w_out_slot[0] + shift,) + w_out_slot[1:],
+                          (b_out_slot[0] + shift,) + b_out_slot[1:])
+        nll = t.cross_entropy(logits, targets)
+        losses.append(t.add(nll, t.matmul(moments, t.constant(
+            [[w.lambda_latency], [w.lambda_variance]]))))
+        parts.append((nll, moments))
+
+    gradient = [None] * n_settings
+    if with_gradient:
+        total = losses[0]
+        for loss in losses[1:]:
+            total = t.add(total, loss)
+        gradient = t.backward(total)[params.index]
+    results = tuple(
+        ObjectiveResult(
+            loss=loss.item(),
+            nll=nll.item(),
+            latency=float(moments.value[0, 0]),
+            variance=float(moments.value[0, 1]),
+            delay_mean=float(moments.saved[0].mean()),
+            gradient=g,
+        )
+        for loss, (nll, moments), g in zip(losses, parts, gradient))
+    return results if lockstep else results[0]

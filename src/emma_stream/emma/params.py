@@ -247,10 +247,12 @@ def parameter_slots(heads: list[PolicyHeadParams], readout: Readout):
     return head, (w_out, (w_out[0] + readout.w_out.size,) + readout.b_out.shape)
 
 
-def pack_parameters(heads: list[PolicyHeadParams], readout: Readout) -> np.ndarray:
+def pack_parameters(heads: list[PolicyHeadParams], readout: Readout,
+                    layout=None) -> np.ndarray:
     """Every trainable array (temperatures excluded) in one vector, laid out
-    by :func:`parameter_slots`."""
-    head, (w_out, b_out) = parameter_slots(heads, readout)
+    by :func:`parameter_slots`; ``layout`` is that function's result, when
+    the caller has it already."""
+    head, (w_out, b_out) = layout or parameter_slots(heads, readout)
     theta = np.empty(b_out[0] + b_out[2])
     for row, hp in zip(head.block(theta), heads):
         for slots, ffn in ((head.ffn_s, hp.ffn_s), (head.ffn_h, hp.ffn_h)):

@@ -4,6 +4,13 @@ Encoder and decoder states are drawn once from the seed and frozen; plain
 gradient descent moves only the policy heads and the toy readout. Runs with
 different loss weights share the seed, so their initializations are
 identical and final delays are directly comparable.
+
+The settings descend in lockstep: each step is one objective call over an
+R x n parameter array, row r being setting r's parameters, and each row
+moves exactly as it would in a descent of its own. A setting that diverges
+drops out, together with every later setting, whose error could no longer
+be the one raised; the earlier ones keep stepping, and at the end the
+earliest setting's error is raised, as a one-by-one loop would raise it.
 """
 
 from __future__ import annotations
@@ -84,43 +91,82 @@ def _frozen_problem(config: ToyTrainConfig):
     return heads, readout, states, targets
 
 
-def train_single(config: ToyTrainConfig, weights: LossWeights) -> TrainingRun:
-    """Gradient descent for one loss-weight setting, on the flat parameter
-    vector; the initial heads and readout only give its layout."""
+def _log_entry(step: int, res) -> dict:
+    return {"step": step, "loss": res.loss, "nll": res.nll,
+            "delay_mean": res.delay_mean, "variance": res.variance}
+
+
+def _descend(config: ToyTrainConfig,
+             settings: tuple[LossWeights, ...]) -> tuple[TrainingRun, ...]:
+    """Gradient descent for every setting in ``settings`` in lockstep, on
+    one row of flat parameters per setting; the initial heads and readout
+    only give the layout."""
     heads, readout, states, targets = _frozen_problem(config)
-    theta = pack_parameters(heads, readout)
-    run = TrainingRun(weights=weights)
+    theta = np.tile(pack_parameters(heads, readout), (len(settings), 1))
+    runs = tuple(TrainingRun(weights=w) for w in settings)
+    live = len(settings)  # settings 0 .. live - 1 still descend
+    diverged = None
+
+    def objective(first: int, stop: int, with_gradient: bool = True):
+        """Results of settings first .. stop - 1 at the current theta."""
+        return emma_objective(heads, states, targets, settings[first:stop],
+                              readout, latency_mode=config.latency_mode,
+                              with_gradient=with_gradient,
+                              theta=theta[first:stop])
+
     for step in range(config.steps):
         try:
-            res = emma_objective(heads, states, targets, weights, readout,
-                                 latency_mode=config.latency_mode, theta=theta)
+            results = objective(0, live)
         except DomainError:
-            # attention energies or the readout softmax underflowed to zero:
-            # the parameters left the objective's computable domain, same
-            # event as an inf loss
-            raise TrainingDivergedError(step=step, loss=float("inf"))
-        if not res.is_finite():
-            raise TrainingDivergedError(step=step, loss=res.loss)
-        run.log.append({"step": step, "loss": res.loss, "nll": res.nll,
-                        "delay_mean": res.delay_mean,
-                        "variance": res.variance})
-        theta = theta - config.learning_rate * res.gradient
-    run.heads, run.readout = unpack_parameters(theta, heads, readout)
-    final = emma_objective(run.heads, states, targets, weights, run.readout,
-                           latency_mode=config.latency_mode,
-                           with_gradient=False)
-    run.log.append({"step": config.steps, "loss": final.loss,
-                    "nll": final.nll, "delay_mean": final.delay_mean,
-                    "variance": final.variance})
-    return run
+            # find the settings whose attention energies or readout softmax
+            # underflowed to zero: they left the objective's computable
+            # domain, same event as an inf loss
+            results = []
+            for r in range(live):
+                try:
+                    results += objective(r, r + 1)
+                except DomainError:
+                    results.append(None)
+                    break
+        for r, res in enumerate(results):
+            if res is None or not res.is_finite():
+                diverged = TrainingDivergedError(
+                    step=step, loss=float("inf") if res is None else res.loss)
+                live = r
+                break
+            runs[r].log.append(_log_entry(step, res))
+        if not live:
+            break
+        theta = theta[:live] - config.learning_rate * np.array(
+            [res.gradient for res in results[:live]])
+    if live:
+        try:
+            finals = objective(0, live, with_gradient=False)
+        except DomainError:
+            # one by one, so that the earliest failing setting raises, as in
+            # a descent of each setting on its own
+            finals = [objective(r, r + 1, with_gradient=False)[0]
+                      for r in range(live)]
+        for run, row, final in zip(runs, theta, finals):
+            run.heads, run.readout = unpack_parameters(row, heads, readout)
+            run.log.append(_log_entry(config.steps, final))
+    if diverged is not None:
+        raise diverged
+    return runs
+
+
+def train_single(config: ToyTrainConfig, weights: LossWeights) -> TrainingRun:
+    """Gradient descent for one loss-weight setting."""
+    return _descend(config, (weights,))[0]
 
 
 def train_toy_policy(config: ToyTrainConfig) -> TrainingReport:
-    """One descent per loss-weight setting, identical initialization."""
+    """One descent per loss-weight setting, identical initialization, all
+    settings stepping in lockstep."""
     if len(config.weight_settings) < 2:
         raise ValueError("need at least two loss-weight settings to compare")
-    runs = tuple(train_single(config, w) for w in config.weight_settings)
-    return TrainingReport(config=config, runs=runs)
+    return TrainingReport(config=config,
+                          runs=_descend(config, tuple(config.weight_settings)))
 
 
 def trained_heads_for_model(parameters: dict, seed: int):

@@ -17,7 +17,10 @@ activations of both FFN stacks, or the query and key rows.
 
 The tape ops read the heads' arrays as stacked views of one flat parameter
 vector theta, placed there by a :class:`HeadSlots`; their adjoints return
-one theta-shaped gradient, zero outside the slots the op reads.
+one theta-shaped gradient, zero outside the slots the op reads. theta may
+also be R x n, R parameter vectors of the same layout: its heads are then
+read as an R x H stack, ordered by row and then by head, and evaluated in
+the same numpy calls.
 """
 
 from __future__ import annotations
@@ -72,14 +75,17 @@ class HeadSlots(NamedTuple):
         return len(self.temperature)
 
     def block(self, theta: np.ndarray) -> np.ndarray:
-        """H x stride view of the heads' part of the 1-D ``theta``."""
-        return theta[:len(self.temperature) * self.stride].reshape(-1, self.stride)
+        """H x stride view of the heads' part of the 1-D ``theta``, or
+        R x H x stride of the R x n ``theta``."""
+        return theta[..., :len(self.temperature) * self.stride].reshape(
+            theta.shape[:-1] + (len(self.temperature), self.stride))
 
 
 def _stacked(block: np.ndarray, slot: Slot) -> np.ndarray:
-    """H x rows x cols view of every head's copy of ``slot``."""
+    """[R x] H x rows x cols view of every head's copy of ``slot``."""
     offset, rows, cols = slot
-    return block[:, offset:offset + rows * cols].reshape(-1, rows, cols)
+    return block[..., offset:offset + rows * cols].reshape(
+        block.shape[:-1] + (rows, cols))
 
 
 def _layers(block: np.ndarray, slots) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -142,8 +148,8 @@ def _temperatures(heads: HeadSlots) -> np.ndarray:
 
 def heads_stepwise(theta: np.ndarray, s: np.ndarray, h: np.ndarray,
                    heads: HeadSlots):
-    """Row-stacked H |y| x |x| stepwise probabilities of the heads in the
-    1-D ``theta``, and the layers and activations of their FFN stacks."""
+    """Row-stacked [R] H |y| x |x| stepwise probabilities of the heads in
+    ``theta``, and the layers and activations of their FFN stacks."""
     block = heads.block(theta)
     layers_s, layers_h = _layers(block, heads.ffn_s), _layers(block, heads.ffn_h)
     p, acts_s, acts_h = stepwise_forward(s, h, layers_s, layers_h,
@@ -156,11 +162,11 @@ def heads_stepwise_adjoint(theta: np.ndarray, p: np.ndarray, saved,
                            heads: HeadSlots, grad: np.ndarray) -> np.ndarray:
     """theta-shaped gradient of the stacked p, given its gradient ``grad``."""
     layers_s, layers_h, acts_s, acts_h = saved
-    p = p.reshape(heads.n_heads, -1, p.shape[1])
-    d = grad.reshape(p.shape) * p * (1.0 - p) / _temperatures(heads)
     out = np.zeros_like(theta)
     block = heads.block(out)
-    _stacked(block, heads.bias)[...] = d.sum(axis=(1, 2), keepdims=True)
+    p = p.reshape(block.shape[:-1] + (-1, p.shape[1]))
+    d = grad.reshape(p.shape) * p * (1.0 - p) / _temperatures(heads)
+    _stacked(block, heads.bias)[...] = d.sum(axis=(-2, -1), keepdims=True)
     for slots, layers, acts, g in (
             (heads.ffn_s, layers_s, acts_s, d @ acts_h[-1]),
             (heads.ffn_h, layers_h, acts_h, _t(d) @ acts_s[-1])):
@@ -172,7 +178,7 @@ def heads_stepwise_adjoint(theta: np.ndarray, p: np.ndarray, saved,
 
 def heads_energies(theta: np.ndarray, s: np.ndarray, h: np.ndarray,
                    heads: HeadSlots):
-    """Row-stacked H |y| x |x| attention energies of the heads in the 1-D
+    """Row-stacked [R] H |y| x |x| attention energies of the heads in
     ``theta``, and their query and key rows."""
     block = heads.block(theta)
     e, q, k = energies_forward(s, h, _stacked(block, heads.w_q),
@@ -189,9 +195,10 @@ def heads_energies_adjoint(theta: np.ndarray, e: np.ndarray, qk, s: np.ndarray,
     attention, which a per-row energy scale does not change.
     """
     q, k = qk
-    d = (grad * e).reshape(heads.n_heads, -1, e.shape[1]) / np.sqrt(heads.w_q[2])
     out = np.zeros_like(theta)
     block = heads.block(out)
+    d = (grad * e).reshape(block.shape[:-1] + (-1, e.shape[1])) \
+        / np.sqrt(heads.w_q[2])
     _stacked(block, heads.w_q)[...] = s.T @ (d @ k)
     _stacked(block, heads.w_k)[...] = h.T @ (_t(d) @ q)
     return out

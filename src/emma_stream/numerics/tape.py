@@ -8,9 +8,17 @@ sorted and :meth:`Tape.backward` is a single reverse sweep.  Values are
 shapes must match exactly.  An op whose adjoint reads forward
 intermediates keeps them in ``Node.saved``.  The policy-head ops
 :meth:`Tape.stepwise` and :meth:`Tape.energies` read every head's
-parameters from one flat 1 x n parameter row, and :meth:`Tape.affine`
-reads its weights from it too.  Several heads travel as one node, stacked
-by row.
+parameters from one parameter leaf, and :meth:`Tape.affine` reads its
+weights from it too.  The leaf is one flat 1 x n parameter row, or R such
+rows of one layout, whose R x H heads the policy-head ops read in one go.
+Several heads travel as one node, stacked by row, and :meth:`Tape.rows`
+takes one block of rows back out.
+
+The primitives are the ones the objective records, plus ``mul`` and
+``sum``, which reduce a node to a scalar in the adjoint tests.
+Element-wise ``sigmoid``, ``tanh``, ``exp``, ``log`` and ``row_softmax``
+are not tape ops: the fused ops evaluate them inside their own forwards
+and adjoints.
 
 Only first-order gradients of a single scalar output are supported, and a
 tape must stay on the thread that created it.
@@ -36,13 +44,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 class Node:
-    """Handle to one recorded value on a tape."""
+    """Handle to one recorded value on a tape.
 
-    __slots__ = ("tape", "index", "op", "value", "parents", "meta", "saved")
+    A node does not refer back to its tape: a tape and its nodes would form
+    a reference cycle, and every finished tape, saved intermediates and
+    all, would wait for the cyclic garbage collector instead of being freed
+    when the objective returns. A tape recognises its nodes by index.
+    """
 
-    def __init__(self, tape: "Tape", index: int, op: str, value: np.ndarray,
+    __slots__ = ("index", "op", "value", "parents", "meta", "saved")
+
+    def __init__(self, index: int, op: str, value: np.ndarray,
                  parents: tuple[int, ...], meta: tuple, saved: tuple = ()):
-        self.tape = tape
         self.index = index
         self.op = op
         self.value = value
@@ -70,16 +83,12 @@ _FORWARD: dict[str, Callable] = {
     "add": lambda vs, m: vs[0] + vs[1],
     "mul": lambda vs, m: vs[0] * vs[1],
     "matmul": lambda vs, m: vs[0] @ vs[1],
-    "sigmoid": lambda vs, m: mx.sigmoid(vs[0]),
-    "tanh": lambda vs, m: np.tanh(vs[0]),
-    "exp": lambda vs, m: np.exp(vs[0]),
-    "log": lambda vs, m: np.log(vs[0]),
-    "row_softmax": lambda vs, m: mx.row_softmax(vs[0]),
     "sum": lambda vs, m: np.array([[vs[0].sum()]]),
+    "rows": lambda vs, m: vs[0][m[0]:m[1]],
     "monotonic_alignment": lambda vs, m: _alignment(vs[0], *m),
     "lookback_attention": lambda vs, m: monotonic.lookback_forward(*vs),
-    "stepwise": lambda vs, m: policy.heads_stepwise(vs[0].reshape(-1), *m),
-    "energies": lambda vs, m: policy.heads_energies(vs[0].reshape(-1), *m),
+    "stepwise": lambda vs, m: policy.heads_stepwise(vs[0], *m),
+    "energies": lambda vs, m: policy.heads_energies(vs[0], *m),
     "affine": lambda vs, m: vs[0] @ _slot(vs[1], m[0]) + _slot(vs[1], m[1]),
     "cross_entropy": lambda vs, m: _cross_entropy(vs[0], m[0]),
     "delay_moments": lambda vs, m: _delay_moments(vs[0], m[0]),
@@ -94,7 +103,7 @@ def _alignment(p: np.ndarray, force_last_column: bool, n_heads: int):
 
 
 def _slot(theta: np.ndarray, slot) -> np.ndarray:
-    """The matrix at ``slot`` of the 1 x n parameter row ``theta``."""
+    """The matrix at ``slot`` of the parameter leaf ``theta``, flattened."""
     return policy.view(theta.reshape(-1), slot)
 
 
@@ -150,9 +159,10 @@ def _cross_entropy_adjoint(softmax: np.ndarray, grad: np.ndarray, targets):
     return out
 
 
-def _softmax_adjoint(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    inner = (grad * y).sum(axis=1, keepdims=True)
-    return y * (grad - inner)
+def _rows_adjoint(x: np.ndarray, grad: np.ndarray, start: int, stop: int):
+    out = np.zeros_like(x)
+    out[start:stop] = grad
+    return (out,)
 
 
 # Adjoint rules: (node value, upstream grad, parent values, meta, saved)
@@ -161,20 +171,16 @@ _BACKWARD: dict[str, Callable] = {
     "add": lambda y, g, vs, m, s: (g, g),
     "mul": lambda y, g, vs, m, s: (g * vs[1], g * vs[0]),
     "matmul": lambda y, g, vs, m, s: (g @ vs[1].T, vs[0].T @ g),
-    "sigmoid": lambda y, g, vs, m, s: (g * y * (1.0 - y),),
-    "tanh": lambda y, g, vs, m, s: (g * (1.0 - y * y),),
-    "exp": lambda y, g, vs, m, s: (g * y,),
-    "log": lambda y, g, vs, m, s: (g / vs[0],),
-    "row_softmax": lambda y, g, vs, m, s: (_softmax_adjoint(y, g),),
     "sum": lambda y, g, vs, m, s: (np.full_like(vs[0], g[0, 0]),),
+    "rows": lambda y, g, vs, m, s: _rows_adjoint(vs[0], g, *m),
     "monotonic_alignment": lambda y, g, vs, m, s:
         _alignment_adjoint(*s, g, m[0]),
     "lookback_attention": lambda y, g, vs, m, s:
         monotonic.lookback_adjoint(*vs, *s, g),
     "stepwise": lambda y, g, vs, m, s: (policy.heads_stepwise_adjoint(
-        vs[0].reshape(-1), y, s[0], m[2], g).reshape(vs[0].shape),),
+        vs[0], y, s[0], m[2], g),),
     "energies": lambda y, g, vs, m, s: (policy.heads_energies_adjoint(
-        vs[0].reshape(-1), y, s[0], *m, g).reshape(vs[0].shape),),
+        vs[0], y, s[0], *m, g),),
     "affine": lambda y, g, vs, m, s: _affine_adjoint(vs[0], vs[1], g, m),
     "cross_entropy": lambda y, g, vs, m, s: (_cross_entropy_adjoint(s[0], g, m[0]),),
     "delay_moments": lambda y, g, vs, m, s: _delay_moments_adjoint(vs[0], s[0], g),
@@ -189,9 +195,9 @@ def _forward(op: str, values: list[np.ndarray], meta: tuple):
 
 def _policy_meta(op: str, theta: Node, s, h, heads: policy.HeadSlots) -> tuple:
     """Checked (s, h, heads) of a policy-head op."""
-    if theta.value.shape[0] != 1 or theta.value.shape[1] < heads.n_heads * heads.stride:
-        raise ShapeError(f"{op}: parameters {theta.value.shape} are not a 1 x n row "
-                         f"holding {heads.n_heads} heads of {heads.stride}")
+    if theta.value.shape[1] < heads.n_heads * heads.stride:
+        raise ShapeError(f"{op}: parameter rows {theta.value.shape} do not "
+                         f"hold {heads.n_heads} heads of {heads.stride}")
     s, h = _freeze(mx.as_matrix(s).copy()), _freeze(mx.as_matrix(h).copy())
     if s.shape[1] != h.shape[1]:
         raise ShapeError(f"{op}: state dims differ: {s.shape[1]} vs {h.shape[1]}")
@@ -207,12 +213,15 @@ class Tape:
     def __len__(self) -> int:
         return len(self.nodes)
 
+    def _holds(self, node: Node) -> bool:
+        return node.index < len(self.nodes) and self.nodes[node.index] is node
+
     def _record(self, op: str, parents: tuple[Node, ...], meta: tuple = ()) -> Node:
         for p in parents:
-            if p.tape is not self:
+            if not self._holds(p):
                 raise LookupError("parent node belongs to a different tape")
         value, saved = _forward(op, [p.value for p in parents], meta)
-        node = Node(self, len(self.nodes), op, _freeze(value),
+        node = Node(len(self.nodes), op, _freeze(value),
                     tuple([p.index for p in parents]), meta, saved)
         self.nodes.append(node)
         return node
@@ -221,7 +230,7 @@ class Tape:
     def leaf(self, value) -> Node:
         """Record an input matrix (gradients are reported for every leaf)."""
         arr = _freeze(mx.as_matrix(value).copy())
-        node = Node(self, len(self.nodes), "leaf", arr, (), ())
+        node = Node(len(self.nodes), "leaf", arr, (), ())
         self.nodes.append(node)
         return node
 
@@ -244,26 +253,19 @@ class Tape:
                 f"matmul: shapes {a.value.shape} and {b.value.shape} do not conform")
         return self._record("matmul", (a, b))
 
-    def sigmoid(self, a: Node) -> Node:
-        return self._record("sigmoid", (a,))
-
-    def tanh(self, a: Node) -> Node:
-        return self._record("tanh", (a,))
-
-    def exp(self, a: Node) -> Node:
-        return self._record("exp", (a,))
-
-    def log(self, a: Node) -> Node:
-        if np.any(a.value <= 0.0):
-            raise DomainError("log: entries must be strictly positive")
-        return self._record("log", (a,))
-
-    def row_softmax(self, a: Node) -> Node:
-        return self._record("row_softmax", (a,))
-
     def sum(self, a: Node) -> Node:
         """Total sum as a 1x1 matrix."""
         return self._record("sum", (a,))
+
+    def rows(self, x: Node, start: int, stop: int) -> Node:
+        """Rows ``start:stop`` of ``x``; the adjoint pads with zero rows.
+        All of ``x`` is ``x`` itself, and records nothing."""
+        n = x.value.shape[0]
+        if not 0 <= start < stop <= n:
+            raise ShapeError(f"rows: {start}:{stop} is not a block of {n} rows")
+        if (start, stop) == (0, n):
+            return x
+        return self._record("rows", (x,), (start, stop))
 
     def monotonic_alignment(self, p: Node, force_last_column: bool = False,
                             heads: int = 1) -> Node:
@@ -289,8 +291,9 @@ class Tape:
     def stepwise(self, theta: Node, s: np.ndarray, h: np.ndarray,
                  heads: policy.HeadSlots) -> Node:
         """Stepwise probabilities of every head, row-stacked H |y| x |x|,
-        with the heads' parameters read from the 1 x n row ``theta`` where
-        ``heads`` places them (see :mod:`emma_stream.numerics.policy`).
+        with the heads' parameters read from each row of ``theta`` where
+        ``heads`` places them (see :mod:`emma_stream.numerics.policy`); an
+        R-row ``theta`` gives R H |y| rows, ordered by row, then by head.
         Decoder states ``s`` and encoder states ``h`` are constants.
         Recorded as one node."""
         return self._record("stepwise", (theta,),
@@ -307,11 +310,11 @@ class Tape:
 
     def affine(self, x: Node, theta: Node, w_slot: tuple[int, int, int],
                b_slot: tuple[int, int, int]) -> Node:
-        """``x @ W + b`` with W and the 1 x n row b read from the 1 x n row
-        ``theta`` at ``(offset, rows, cols)`` slots."""
-        n = theta.value.shape[1]
+        """``x @ W + b`` with W and the 1 x n row b read from ``theta``,
+        flattened row by row, at ``(offset, rows, cols)`` slots."""
+        n = theta.value.size
         (w_off, rows, cols), (b_off, b_rows, b_cols) = w_slot, b_slot
-        if theta.value.shape[0] != 1 or x.value.shape[1] != rows \
+        if x.value.shape[1] != rows \
                 or (b_rows, b_cols) != (1, cols) or min(w_off, b_off) < 0 \
                 or max(w_off + rows * cols, b_off + cols) > n:
             raise ShapeError(f"affine: slots {w_slot}, {b_slot} do not fit "
@@ -349,8 +352,7 @@ class Tape:
         output does not depend on get zeros. The other arrays are read-only,
         since several nodes may share one.
         """
-        if output.tape is not self or not (0 <= output.index < len(self.nodes)) \
-                or self.nodes[output.index] is not output:
+        if not self._holds(output):
             raise LookupError("output node is not on this tape")
         if output.value.shape != (1, 1):
             raise ValueError(

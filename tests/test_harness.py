@@ -10,14 +10,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from emma_stream.emma.alignment import stepwise_probability
-from emma_stream.emma.params import EncDecStates, LossWeights
+from emma_stream.emma import emma_objective
+from emma_stream.emma.params import EncDecStates, LossWeights, pack_parameters
 from emma_stream.errors import CorpusError, TrainingDivergedError
 from emma_stream.harness import (COLUMNS, Manifest, SweepReport, SweepRow,
                                  evaluate_corpus, generate_corpus,
                                  load_instances, model_factory,
                                  render_report, threshold_sweep,
                                  train_toy_policy, write_corpus)
-from emma_stream.harness import evaluate
+from emma_stream.harness import evaluate, training
 from emma_stream.harness.cli import main
 from emma_stream.harness.models import ToyPolicyModel, _hash_rng
 from emma_stream.harness.training import ToyTrainConfig, train_single
@@ -426,6 +427,68 @@ def test_divergence_aborts_with_step_number():
         train_single(cfg, LossWeights(0.0, 0.0))
     assert exc.value.step >= 0
     assert "step" in str(exc.value)
+
+
+@pytest.mark.parametrize("mode,pairs", [
+    ("ideal-lag", ((0.0, 0.0), (0.5, 0.0))),
+    ("mean", ((0.0, 0.0), (0.2, 0.3), (0.0, 0.7))),
+    ("ideal-lag", ((0.4, 0.0), (0.0, 0.0), (0.1, 0.5))),
+])
+def test_lockstep_runs_equal_single_descents(mode, pairs):
+    cfg = ToyTrainConfig(steps=30, seed=3, latency_mode=mode,
+                         weight_settings=tuple(LossWeights(*w) for w in pairs))
+    report = train_toy_policy(cfg)
+    assert len(report.runs) == len(pairs)
+    for run, weights in zip(report.runs, cfg.weight_settings):
+        single = train_single(cfg, weights)
+        assert run.weights == weights
+        assert len(run.log) == cfg.steps + 1
+        assert run.log == single.log
+        assert np.array_equal(pack_parameters(run.heads, run.readout),
+                              pack_parameters(single.heads, single.readout))
+
+
+def sequential_divergence(cfg):
+    """(step, loss) of the error a one-setting-at-a-time loop raises."""
+    for weights in cfg.weight_settings:
+        try:
+            train_single(cfg, weights)
+        except TrainingDivergedError as exc:
+            return exc.step, exc.loss
+    return None
+
+
+@pytest.mark.parametrize("seed,lr,pairs,diverging", [
+    (1, 5.0, ((0.0, 0.0), (2.0, 0.0)), [1]),        # only setting 1
+    (0, 5.0, ((0.0, 0.0), (2.0, 0.0)), [0]),        # only setting 0
+    (1, 5.0, ((0.0, 2.0), (2.0, 0.0)), [0, 1]),     # setting 1 first
+])
+def test_lockstep_divergence_matches_sequential_loop(seed, lr, pairs, diverging):
+    cfg = ToyTrainConfig(steps=60, learning_rate=lr, seed=seed,
+                         weight_settings=tuple(LossWeights(*w) for w in pairs))
+    for r, weights in enumerate(cfg.weight_settings):
+        if r in diverging:
+            with pytest.raises(TrainingDivergedError):
+                train_single(cfg, weights)
+        else:
+            train_single(cfg, weights)
+    with pytest.raises(TrainingDivergedError) as exc:
+        train_toy_policy(cfg)
+    assert (exc.value.step, exc.value.loss) == sequential_divergence(cfg)
+
+
+def test_lockstep_calls_objective_once_per_step(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("with_gradient", True))
+        return emma_objective(*args, **kwargs)
+
+    monkeypatch.setattr(training, "emma_objective", counting)
+    cfg = ToyTrainConfig(steps=7, seed=2, weight_settings=(
+        LossWeights(0.0, 0.0), LossWeights(0.5, 0.0), LossWeights(0.0, 0.5)))
+    train_toy_policy(cfg)
+    assert calls == [True] * cfg.steps + [False]
 
 
 def test_training_runs_share_initial_loss():

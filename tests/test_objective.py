@@ -9,6 +9,7 @@ from emma_stream.emma import (EncDecStates, LossWeights, Readout,
                               emma_objective, expected_delays, latency_loss,
                               pack_parameters, stepwise_probability,
                               unpack_parameters, variance_loss)
+from emma_stream.emma import objective as objective_module
 from emma_stream.emma.params import (parameter_slots, random_head,
                                      random_readout, random_states)
 from emma_stream.numerics import Tape, finite_diff_check
@@ -105,13 +106,14 @@ def test_forced_last_column_graph_matches():
 
 def test_feedforward_nodes_equal_feedforward_apply():
     # the FFN activations the stepwise op keeps for its adjoint are
-    # FeedForward.apply of every head, bit for bit
+    # FeedForward.apply of every head, bit for bit; they are stacked by
+    # parameter row (one here), then by head
     heads, states, _, readout = toy_instance(5)
     p_node = fused_heads(heads, readout, states)[0]
     _, _, acts_s, acts_h = p_node.saved[0]
     for k, head in enumerate(heads):
-        assert np.array_equal(acts_s[-1][k], head.ffn_s.apply(states.s))
-        assert np.array_equal(acts_h[-1][k], head.ffn_h.apply(states.h))
+        assert np.array_equal(acts_s[-1][0, k], head.ffn_s.apply(states.s))
+        assert np.array_equal(acts_h[-1][0, k], head.ffn_h.apply(states.h))
 
 
 @pytest.mark.parametrize("seed", [3, 6])
@@ -239,3 +241,63 @@ def test_delay_mean_reflects_alignment():
     heads, states, targets, readout = toy_instance(8)
     res = emma_objective(heads, states, targets, LossWeights(), readout)
     assert 0.0 <= res.delay_mean <= states.source_len
+
+
+def result_fields(res):
+    return (res.loss, res.nll, res.latency, res.variance, res.delay_mean)
+
+
+@pytest.mark.parametrize("n_settings", [1, 2, 3])
+@pytest.mark.parametrize("force,mode", [(False, "ideal-lag"), (True, "mean")])
+def test_lockstep_settings_equal_their_single_calls(monkeypatch, n_settings,
+                                                    force, mode):
+    tapes = []
+
+    class RecordingTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(objective_module, "Tape", RecordingTape)
+    heads, states, targets, readout = toy_instance(20 + n_settings, n_heads=2)
+    rng = np.random.default_rng(n_settings)
+    packed = pack_parameters(heads, readout)
+    theta = packed + 0.1 * rng.standard_normal((n_settings, packed.size))
+    settings = tuple(LossWeights(float(lat), float(var))
+                     for lat, var in rng.uniform(0.0, 1.0, (n_settings, 2)))
+    for with_gradient in (True, False):
+        tapes.clear()
+        results = emma_objective(heads, states, targets, settings, readout,
+                                 force_last_column=force, latency_mode=mode,
+                                 with_gradient=with_gradient, theta=theta)
+        batched = tapes.pop()
+        assert len(results) == n_settings
+        for row, weights, res in zip(theta, settings, results):
+            one = emma_objective(heads, states, targets, weights, readout,
+                                 force_last_column=force, latency_mode=mode,
+                                 with_gradient=with_gradient, theta=row)
+            assert result_fields(res) == result_fields(one)
+            if with_gradient:
+                assert np.array_equal(res.gradient, one.gradient)
+            else:
+                assert res.gradient is None and one.gradient is None
+        if n_settings == 1:
+            assert len(batched) == 15 == len(tapes[-1])
+        batched.replay()
+
+
+def test_lockstep_theta_defaults_and_shape_errors():
+    heads, states, targets, readout = toy_instance(11)
+    settings = (LossWeights(0.0, 0.0), LossWeights(0.5, 0.2))
+    packed = pack_parameters(heads, readout)
+    default = emma_objective(heads, states, targets, settings, readout)
+    given = emma_objective(heads, states, targets, settings, readout,
+                           theta=np.stack([packed, packed]))
+    for a, b in zip(default, given):
+        assert result_fields(a) == result_fields(b)
+        assert np.array_equal(a.gradient, b.gradient)
+    for bad in (packed, np.stack([packed] * 3), np.stack([packed, packed])[:, :-1]):
+        with pytest.raises(ValueError, match="parameters"):
+            emma_objective(heads, states, targets, settings, readout, theta=bad)
+    with pytest.raises(ValueError, match="loss-weight setting"):
+        emma_objective(heads, states, targets, (), readout)

@@ -77,6 +77,25 @@ def test_energies_adjoint_matches_central_differences(depth, n_heads, force):
     check_against_central_differences(record, theta)
 
 
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_fused_ops_on_parameter_rows_match_central_differences(n_heads):
+    # a 3-row leaf: three parameter vectors of one layout, 3 H heads in one
+    # stepwise, energies, alignment and lookback node
+    _, theta, slots, states, rng = head_problem(2, n_heads, 40 + n_heads)
+    theta = theta + 0.2 * rng.standard_normal((3, theta.size))
+    w = rng.standard_normal((3 * n_heads * states.target_len, states.source_len))
+
+    def record(th):
+        t = Tape()
+        leaf = t.leaf(th.reshape(3, -1))
+        alpha = t.monotonic_alignment(
+            t.stepwise(leaf, states.s, states.h, slots), heads=3 * n_heads)
+        beta = t.lookback_attention(alpha, t.energies(leaf, states.s, states.h, slots))
+        return t, leaf, t.sum(t.mul(t.add(alpha, beta), t.constant(w)))
+
+    check_against_central_differences(record, theta.ravel())
+
+
 @pytest.mark.parametrize("n_heads", [1, 3])
 def test_fused_forwards_are_the_per_head_formulas(n_heads):
     heads, theta, slots, states, _ = head_problem(2, n_heads, 5)
@@ -94,15 +113,18 @@ def test_fused_forwards_are_the_per_head_formulas(n_heads):
 def test_tail_op_adjoints_match_central_differences():
     rng = np.random.default_rng(8)
     theta = rng.standard_normal(40)
-    x = rng.standard_normal((4, 3))
-    targets = [2, 0, 4, 4]
+    x = rng.standard_normal((6, 3))
+    targets = [2, 0, 4, 4, 1, 3]
     ideal = np.array([0.0, 1.5])
+    # scales four logit rows down to the size of alignment rows
+    scale = rng.uniform(0.05, 0.2, size=(4, 5))
 
     def record(th):
         t = Tape()
         leaf = t.leaf(th)
         logits = t.affine(t.constant(x), leaf, (5, 3, 5), (30, 1, 5))
-        moments = t.delay_moments(t.row_softmax(logits), ideal)
+        alpha = t.mul(t.rows(logits, 1, 5), t.constant(scale))
+        moments = t.delay_moments(alpha, ideal)
         weights = t.constant([[0.7], [0.3]])
         return t, leaf, t.add(t.cross_entropy(logits, targets),
                               t.matmul(moments, weights))
