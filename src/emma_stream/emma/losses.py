@@ -1,7 +1,10 @@
 """Latency and variance regularizers computed from the alignment matrix.
 
-Positions are 1-indexed throughout: reading the first source token during
-the first prediction is a delay of 1, not 0.
+The latency regularizer is mean(d - d*), the expected delays' gap to the
+uniform-rate policy; the variance regularizer is the mean per-step
+variance of the aligned source position. Positions are 1-indexed
+throughout: reading the first source token during the first prediction is
+a delay of 1, not 0.
 """
 
 from __future__ import annotations
@@ -32,24 +35,16 @@ def ideal_delays(source_len: int, target_len: int) -> np.ndarray:
     return np.arange(target_len, dtype=np.float64) * (source_len / target_len)
 
 
-def latency_loss(delays, source_len: int, target_len: int,
-                 mode: str = "ideal-lag") -> float:
-    """Mean deviation of the expected delays from a latency target.
-
-    "ideal-lag" penalizes mean(d_i - d*_i), the gap to the uniform-rate
-    policy; "mean" penalizes the raw mean delay.
-    """
+def latency_loss(delays, source_len: int, target_len: int) -> float:
+    """mean(d_i - d*_i), the gap of the expected delays to the uniform-rate
+    policy of :func:`ideal_delays`."""
     if target_len < 1:
         raise ValueError("latency loss needs a positive target length")
     delays = np.asarray(delays, dtype=np.float64).ravel()
     if delays.size != target_len:
         raise ValueError(
             f"got {delays.size} delays for target length {target_len}")
-    if mode == "ideal-lag":
-        return float(np.mean(delays - ideal_delays(source_len, target_len)))
-    if mode == "mean":
-        return float(np.mean(delays))
-    raise ValueError(f"unknown latency mode: {mode!r}")
+    return float(np.mean(delays - ideal_delays(source_len, target_len)))
 
 
 def alignment_variance(alpha) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Training objective: NLL plus latency and variance regularizers.
 
+The latency regularizer is mean(d - d*), the expected delays' gap to the
+uniform-rate policy d*_i = (i - 1) |x| / |y|; the variance regularizer is
+the mean per-step variance of the aligned source position.
+
 The whole computation is recorded on a reverse-mode tape, so the reported
 loss value and the returned gradient come from one graph. Every trainable
 array is read from one leaf, the flat parameter vector of
@@ -55,7 +59,6 @@ def emma_objective(heads: list[PolicyHeadParams], states: EncDecStates,
                    targets, weights: LossWeights | tuple[LossWeights, ...],
                    readout: Readout, *,
                    force_last_column: bool = False,
-                   latency_mode: str = "ideal-lag",
                    with_gradient: bool = True,
                    theta: np.ndarray | None = None):
     """Loss and gradient of one instance, as an :class:`ObjectiveResult`.
@@ -84,12 +87,7 @@ def emma_objective(heads: list[PolicyHeadParams], states: EncDecStates,
     for v in targets:
         if not 0 <= v < vocab:
             raise ValueError(f"target index {v} outside vocabulary of {vocab}")
-    if latency_mode == "ideal-lag":
-        ideal = ideal_delays(states.source_len, states.target_len)
-    elif latency_mode == "mean":
-        ideal = np.zeros(states.target_len)
-    else:
-        raise ValueError(f"unknown latency mode: {latency_mode!r}")
+    ideal = ideal_delays(states.source_len, states.target_len)
     layout = parameter_slots(heads, readout)
     head_slots, (w_out_slot, b_out_slot) = layout
     n_settings, n = len(settings), b_out_slot[0] + b_out_slot[2]

@@ -60,10 +60,6 @@ class FeedForward:
                 raise ShapeError("feedforward layer dimensions do not chain")
 
     @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
     def output_dim(self) -> int:
         return self.weights[-1].shape[1]
 
@@ -140,14 +136,6 @@ class EncDecStates:
     @property
     def target_len(self) -> int:
         return self.s.shape[0]
-
-    @property
-    def model_dim(self) -> int:
-        return self.h.shape[1]
-
-    @property
-    def value_dim(self) -> int:
-        return self.v.shape[1]
 
 
 @dataclass(frozen=True)

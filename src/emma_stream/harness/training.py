@@ -7,10 +7,13 @@ identical and final delays are directly comparable.
 
 The settings descend in lockstep: each step is one objective call over an
 R x n parameter array, row r being setting r's parameters, and each row
-moves exactly as it would in a descent of its own. A setting that diverges
-drops out, together with every later setting, whose error could no longer
-be the one raised; the earlier ones keep stepping, and at the end the
-earliest setting's error is raised, as a one-by-one loop would raise it.
+moves exactly as it would in a descent of its own. The final evaluation is
+the loop's last step, without a gradient. A setting diverges when its loss
+is non-finite or its objective raises a DomainError, at any step, the final
+evaluation included. It drops out, together with every later setting, whose
+error could no longer be the one raised; the earlier ones keep stepping,
+and at the end the earliest setting's error is raised, as a one-by-one loop
+would raise it.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ class ToyTrainConfig:
     steps: int = 500
     learning_rate: float = 0.25
     seed: int = 0
-    latency_mode: str = "ideal-lag"
     weight_settings: tuple[LossWeights, ...] = (
         LossWeights(0.0, 0.0), LossWeights(0.5, 0.0))
 
@@ -100,58 +102,55 @@ def _descend(config: ToyTrainConfig,
              settings: tuple[LossWeights, ...]) -> tuple[TrainingRun, ...]:
     """Gradient descent for every setting in ``settings`` in lockstep, on
     one row of flat parameters per setting; the initial heads and readout
-    only give the layout."""
+    only give the layout. Step ``config.steps`` is the final evaluation: it
+    takes no gradient and moves no parameters."""
     heads, readout, states, targets = _frozen_problem(config)
     theta = np.tile(pack_parameters(heads, readout), (len(settings), 1))
     runs = tuple(TrainingRun(weights=w) for w in settings)
     live = len(settings)  # settings 0 .. live - 1 still descend
     diverged = None
 
-    def objective(first: int, stop: int, with_gradient: bool = True):
+    def objective(first: int, stop: int, with_gradient: bool):
         """Results of settings first .. stop - 1 at the current theta."""
         return emma_objective(heads, states, targets, settings[first:stop],
-                              readout, latency_mode=config.latency_mode,
-                              with_gradient=with_gradient,
+                              readout, with_gradient=with_gradient,
                               theta=theta[first:stop])
 
-    for step in range(config.steps):
-        try:
-            results = objective(0, live)
-        except DomainError:
-            # find the settings whose attention energies or readout softmax
-            # underflowed to zero: they left the objective's computable
-            # domain, same event as an inf loss
-            results = []
-            for r in range(live):
-                try:
-                    results += objective(r, r + 1)
-                except DomainError:
-                    results.append(None)
+    # an overflow shows up as a non-finite loss or a DomainError, both of
+    # which end the setting as divergence, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.steps + 1):
+            with_gradient = step < config.steps
+            try:
+                results = objective(0, live, with_gradient)
+            except DomainError:
+                # find the settings whose attention energies or readout
+                # softmax underflowed to zero: they left the objective's
+                # computable domain, same event as an inf loss
+                results = []
+                for r in range(live):
+                    try:
+                        results += objective(r, r + 1, with_gradient)
+                    except DomainError:
+                        results.append(None)
+                        break
+            for r, res in enumerate(results):
+                if res is None or not res.is_finite():
+                    diverged = TrainingDivergedError(
+                        step=step,
+                        loss=float("inf") if res is None else res.loss)
+                    live = r
                     break
-        for r, res in enumerate(results):
-            if res is None or not res.is_finite():
-                diverged = TrainingDivergedError(
-                    step=step, loss=float("inf") if res is None else res.loss)
-                live = r
+                runs[r].log.append(_log_entry(step, res))
+            if not live:
                 break
-            runs[r].log.append(_log_entry(step, res))
-        if not live:
-            break
-        theta = theta[:live] - config.learning_rate * np.array(
-            [res.gradient for res in results[:live]])
-    if live:
-        try:
-            finals = objective(0, live, with_gradient=False)
-        except DomainError:
-            # one by one, so that the earliest failing setting raises, as in
-            # a descent of each setting on its own
-            finals = [objective(r, r + 1, with_gradient=False)[0]
-                      for r in range(live)]
-        for run, row, final in zip(runs, theta, finals):
-            run.heads, run.readout = unpack_parameters(row, heads, readout)
-            run.log.append(_log_entry(config.steps, final))
+            if with_gradient:
+                theta = theta[:live] - config.learning_rate * np.array(
+                    [res.gradient for res in results[:live]])
     if diverged is not None:
         raise diverged
+    for run, row in zip(runs, theta):
+        run.heads, run.readout = unpack_parameters(row, heads, readout)
     return runs
 
 

@@ -429,13 +429,13 @@ def test_divergence_aborts_with_step_number():
     assert "step" in str(exc.value)
 
 
-@pytest.mark.parametrize("mode,pairs", [
-    ("ideal-lag", ((0.0, 0.0), (0.5, 0.0))),
-    ("mean", ((0.0, 0.0), (0.2, 0.3), (0.0, 0.7))),
-    ("ideal-lag", ((0.4, 0.0), (0.0, 0.0), (0.1, 0.5))),
+@pytest.mark.parametrize("pairs", [
+    ((0.0, 0.0), (0.5, 0.0)),
+    ((0.0, 0.0), (0.2, 0.3), (0.0, 0.7)),
+    ((0.4, 0.0), (0.0, 0.0), (0.1, 0.5)),
 ])
-def test_lockstep_runs_equal_single_descents(mode, pairs):
-    cfg = ToyTrainConfig(steps=30, seed=3, latency_mode=mode,
+def test_lockstep_runs_equal_single_descents(pairs):
+    cfg = ToyTrainConfig(steps=30, seed=3,
                          weight_settings=tuple(LossWeights(*w) for w in pairs))
     report = train_toy_policy(cfg)
     assert len(report.runs) == len(pairs)
@@ -475,6 +475,30 @@ def test_lockstep_divergence_matches_sequential_loop(seed, lr, pairs, diverging)
     with pytest.raises(TrainingDivergedError) as exc:
         train_toy_policy(cfg)
     assert (exc.value.step, exc.value.loss) == sequential_divergence(cfg)
+
+
+@pytest.mark.parametrize("lr", [100.0, 1e300])
+def test_final_evaluation_divergence_matches_sequential_loop(lr):
+    # one step moves theta out of the objective's domain, so only the final
+    # evaluation sees it; an overflow on the way must not warn
+    cfg = ToyTrainConfig(steps=1, learning_rate=lr, seed=0)
+    with pytest.raises(TrainingDivergedError) as exc:
+        train_toy_policy(cfg)
+    assert exc.value.step == cfg.steps
+    assert (exc.value.step, exc.value.loss) == sequential_divergence(cfg)
+
+
+def test_non_finite_final_loss_is_divergence(monkeypatch):
+    def nan_at_final_evaluation(*args, **kwargs):
+        results = emma_objective(*args, **kwargs)
+        if kwargs["with_gradient"]:
+            return results
+        return tuple(replace(res, loss=math.nan) for res in results)
+
+    monkeypatch.setattr(training, "emma_objective", nan_at_final_evaluation)
+    with pytest.raises(TrainingDivergedError) as exc:
+        train_toy_policy(ToyTrainConfig(steps=3, seed=0))
+    assert exc.value.step == 3 and math.isnan(exc.value.loss)
 
 
 def test_lockstep_calls_objective_once_per_step(monkeypatch):
@@ -801,6 +825,28 @@ def test_cli_train_toy_nan_exits_2(tmp_path, capsys, flag):
     assert main(["train-toy", "--steps", "5", flag, "nan",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,lr", [("train-toy", "100"),
+                                        ("train-toy", "1e300"),
+                                        ("evaluate", "100")])
+def test_cli_final_evaluation_divergence_exits_1_with_one_line(tmp_path, capsys,
+                                                               command, lr):
+    out = tmp_path / "out.txt"
+    if command == "train-toy":
+        argv = ["train-toy", "--learning-rate", lr, "--steps", "1"]
+    else:
+        corpus = copy_corpus_path(tmp_path, n=2)
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps({
+            "instances": corpus.name,
+            "model": {"kind": "toy_trained", "parameters": {
+                "learning_rate": float(lr), "steps": 1}}}), encoding="utf-8")
+        argv = ["evaluate", "--manifest", str(mpath)]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -46,17 +46,11 @@ def test_latency_single_term():
     assert latency_loss([2.0], source_len=4, target_len=1) == pytest.approx(2.0)
 
 
-def test_latency_plain_mean_mode():
-    assert latency_loss([2.0, 4.0], 4, 2, mode="mean") == pytest.approx(3.0)
-
-
 def test_latency_errors():
     with pytest.raises(ValueError):
         latency_loss([1.0], 4, 0)
     with pytest.raises(ValueError):
         latency_loss([1.0, 2.0], 4, 3)
-    with pytest.raises(ValueError):
-        latency_loss([1.0], 4, 1, mode="median")
 
 
 def test_variance_of_point_mass():

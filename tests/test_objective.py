@@ -248,9 +248,9 @@ def result_fields(res):
 
 
 @pytest.mark.parametrize("n_settings", [1, 2, 3])
-@pytest.mark.parametrize("force,mode", [(False, "ideal-lag"), (True, "mean")])
+@pytest.mark.parametrize("force", [False, True])
 def test_lockstep_settings_equal_their_single_calls(monkeypatch, n_settings,
-                                                    force, mode):
+                                                    force):
     tapes = []
 
     class RecordingTape(Tape):
@@ -268,13 +268,13 @@ def test_lockstep_settings_equal_their_single_calls(monkeypatch, n_settings,
     for with_gradient in (True, False):
         tapes.clear()
         results = emma_objective(heads, states, targets, settings, readout,
-                                 force_last_column=force, latency_mode=mode,
+                                 force_last_column=force,
                                  with_gradient=with_gradient, theta=theta)
         batched = tapes.pop()
         assert len(results) == n_settings
         for row, weights, res in zip(theta, settings, results):
             one = emma_objective(heads, states, targets, weights, readout,
-                                 force_last_column=force, latency_mode=mode,
+                                 force_last_column=force,
                                  with_gradient=with_gradient, theta=row)
             assert result_fields(res) == result_fields(one)
             if with_gradient:
