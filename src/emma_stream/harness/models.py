@@ -4,6 +4,13 @@ Three kinds: the wait-k copier (threshold-insensitive), a hash-seeded
 stochastic policy (threshold-sensitive but fully deterministic, so sweeps
 are reproducible across runs and worker counts), and a policy trained by
 the toy objective driving hash-embedded states.
+
+The stochastic policy is a scripted-probability model: head h at
+(written, consumed) answers sigmoid(g / temperature), with g one standard
+normal draw from a generator seeded by (seed, instance id, h, written,
+consumed). The surface depends only on (written, consumed), which yields
+the pointwise delay dominance that threshold sweeps rely on, and tokens
+copy source payloads so references line up with outputs.
 """
 
 from __future__ import annotations
@@ -15,11 +22,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..emma.params import PolicyHeadParams
-from ..runtime.models import CopyModel, scripted_waitk_model
+from ..runtime.models import (CopyModel, scripted_probability_model,
+                              scripted_waitk_model)
 from ..runtime.types import EOS_TOKEN, IncrementalModel, StreamInstance
 from .manifest import model_parameters
 
-__all__ = ["ScriptedStochasticModel", "ToyPolicyModel", "model_factory"]
+__all__ = ["ToyPolicyModel", "model_factory"]
 
 
 def _hash_rng(*parts) -> np.random.Generator:
@@ -38,40 +46,6 @@ def _sigmoid(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
-
-
-class ScriptedStochasticModel(CopyModel):
-    """Head probabilities sigmoid(g / temperature) with g drawn once from a
-    seeded Gaussian per (head, written, consumed).
-
-    The surface depends only on (written, consumed), which yields the
-    pointwise delay dominance that threshold sweeps rely on. Tokens copy
-    source payloads so references line up with outputs.
-    """
-
-    def __init__(self, seed: int, instance_id: str, n_heads: int = 2,
-                 temperature: float = 1.0):
-        if n_heads < 1:
-            raise ValueError("need at least one head")
-        if temperature <= 0:
-            raise ValueError("temperature must be positive")
-        self.seed = seed
-        self.instance_id = instance_id
-        self.n_heads = n_heads
-        self.temperature = temperature
-        self._cache: dict[tuple[int, int, int], float] = {}
-
-    def _gaussian(self, head: int, written: int, consumed: int) -> float:
-        key = (head, written, consumed)
-        if key not in self._cache:
-            rng = _hash_rng(self.seed, self.instance_id, head, written, consumed)
-            self._cache[key] = float(rng.standard_normal())
-        return self._cache[key]
-
-    def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
-        written, consumed = len(prefix), len(states)
-        return [_sigmoid(self._gaussian(h, written, consumed) / self.temperature)
-                for h in range(self.n_heads)]
 
 
 class ToyPolicyModel(CopyModel):
@@ -133,8 +107,11 @@ def model_factory(kind: str, parameters: dict, seed: int) -> Callable[[StreamIns
     if kind == "scripted_waitk":
         return lambda inst: scripted_waitk_model(values["k"], values["vocab_map"])
     if kind == "scripted_stochastic":
-        return lambda inst: ScriptedStochasticModel(
-            seed, inst.id, values["heads"], values["temperature"])
+        head_ids, temperature = range(values["heads"]), values["temperature"]
+        return lambda inst: scripted_probability_model(
+            lambda written, consumed: [
+                _sigmoid(_hash_rng(seed, inst.id, h, written, consumed)
+                         .standard_normal() / temperature) for h in head_ids])
     from .training import trained_heads_for_model
     heads, d = trained_heads_for_model(values, seed)
     model = ToyPolicyModel(heads, d, seed)

@@ -22,12 +22,15 @@ __all__ = [
 _CUTOFF_TOL = 1e-9
 
 
-def _checked_delays(delays) -> np.ndarray:
+def _checked_delays(delays, source_len: float) -> np.ndarray:
+    """Delays as a float array: non-empty, non-decreasing, within the source."""
     d = np.asarray(delays, dtype=np.float64).ravel()
     if d.size == 0:
         raise ValueError("lagging needs at least one delay")
     if np.any(np.diff(d) < 0):
         raise DomainError("delays must be non-decreasing")
+    if np.any(d > source_len + _CUTOFF_TOL):
+        raise DomainError("delays exceed the source length")
     return d
 
 
@@ -53,34 +56,28 @@ def average_lagging(delays, source_len: float, ref_len: int) -> float:
     Works in any consistent delay unit: seconds with source_len in seconds,
     or token counts with source_len in tokens.
     """
-    d = _checked_delays(delays)
+    d = _checked_delays(delays, source_len)
     if ref_len < 1:
         raise ValueError("ref_len must be positive")
-    if np.any(d > source_len + _CUTOFF_TOL):
-        raise DomainError("delays exceed the source length")
     return _lagging(d, source_len, ref_len)
 
 
 def length_adaptive_average_lagging(delays, source_len: float, ref_len: int,
                                     hyp_len: int) -> float:
     """AL with the ideal rate slowed to max(ref_len, hyp_len) steps."""
-    d = _checked_delays(delays)
+    d = _checked_delays(delays, source_len)
     if ref_len < 1 or hyp_len < 1:
         raise ValueError("sequence lengths must be positive")
-    if np.any(d > source_len + _CUTOFF_TOL):
-        raise DomainError("delays exceed the source length")
     return _lagging(d, source_len, max(ref_len, hyp_len))
 
 
-def offsets(trace: DecisionTrace, source_duration_s: float | None = None) -> dict:
+def offsets(trace: DecisionTrace) -> dict:
     """Start and end offsets of the synthesized output stream.
 
     Output chunks play back serialized: each starts at its emission time or
     at the end of the previous chunk, whichever is later. The end offset is
     how far past the source end the playback finishes.
     """
-    if source_duration_s is None:
-        source_duration_s = trace.source_duration_s
     if not trace.emissions:
         raise EmptyOutputError(
             f"instance {trace.instance_id!r} produced no output to time")
@@ -90,7 +87,7 @@ def offsets(trace: DecisionTrace, source_duration_s: float | None = None) -> dic
         playback_end = start + emission.playback_duration_s
     return {
         "start_offset_s": trace.emissions[0].emit_time_s,
-        "end_offset_s": playback_end - source_duration_s,
+        "end_offset_s": playback_end - trace.source_duration_s,
     }
 
 

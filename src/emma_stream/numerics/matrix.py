@@ -2,22 +2,21 @@
 
 Every function here takes and returns 2-D ``float64`` numpy arrays and
 performs explicit shape validation instead of relying on broadcasting.
-The catalog is deliberately small: matrix multiply, sigmoid, row softmax,
-and log.
+The catalog is deliberately small: matrix multiply, sigmoid and row
+softmax.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DomainError, ShapeError
+from ..errors import ShapeError
 
 __all__ = [
     "as_matrix",
     "matmul",
     "sigmoid",
     "row_softmax",
-    "log",
 ]
 
 
@@ -61,11 +60,3 @@ def row_softmax(a) -> np.ndarray:
     shifted = a - a.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=1, keepdims=True)
-
-
-def log(a) -> np.ndarray:
-    """Elementwise natural log; defined for strictly positive entries."""
-    a = as_matrix(a)
-    if np.any(a <= 0):
-        raise DomainError("log: all entries must be strictly positive")
-    return np.log(a)

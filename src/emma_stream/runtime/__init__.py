@@ -1,6 +1,6 @@
 """Streaming inference: the read/write state machine and scripted models."""
 
-from .machine import READ, WRITE, StreamSession, decide, run_stream
+from .machine import READ, WRITE, decide, run_stream
 from .models import scripted_probability_model, scripted_waitk_model
 from .trace import trace_to_lines, write_trace_jsonl
 from .types import (EOS_TOKEN, DecisionTrace, Emission, IncrementalModel,
@@ -10,7 +10,6 @@ from .types import (EOS_TOKEN, DecisionTrace, Emission, IncrementalModel,
 __all__ = [
     "READ",
     "WRITE",
-    "StreamSession",
     "decide",
     "run_stream",
     "scripted_probability_model",

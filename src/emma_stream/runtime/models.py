@@ -1,4 +1,9 @@
-"""Copy models: the shared copy core and deterministic scripted models."""
+"""Copy models: the shared copy core and deterministic scripted models.
+
+Every scripted model is a :class:`_ScriptedProbability`: its head
+probabilities are a pure function of (written, consumed). The wait-k
+copier is that core over the rule consumed >= k + written.
+"""
 
 from __future__ import annotations
 
@@ -62,36 +67,6 @@ class CopyModel:
         raise NotImplementedError
 
 
-class _WaitK(CopyModel):
-    """Copies source payloads after a fixed head start of k chunks.
-
-    The head probability is 1 exactly when consumed >= k + written, else 0;
-    thresholds in (0,1) are irrelevant.
-    """
-
-    def __init__(self, k: int, vocab_map: Mapping[int, int] | None):
-        self.k = k
-        self.vocab_map = vocab_map
-
-    def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
-        return [1.0 if len(states) >= self.k + len(prefix) else 0.0]
-
-    def next_token(self, states, prefix: Sequence[int]) -> int:
-        token = super().next_token(states, prefix)
-        if self.vocab_map is None or token == EOS_TOKEN:
-            return token
-        if token not in self.vocab_map:
-            raise ValueError(f"payload {token} is missing from vocab_map")
-        return self.vocab_map[token]
-
-
-def scripted_waitk_model(k: int, vocab_map: Mapping[int, int] | None = None) -> _WaitK:
-    """Wait-k copy policy; ``vocab_map`` of None copies payloads verbatim."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return _WaitK(k, vocab_map)
-
-
 class _ScriptedProbability(CopyModel):
     """Head probabilities from a pure function of (written, consumed).
 
@@ -109,3 +84,32 @@ class _ScriptedProbability(CopyModel):
 def scripted_probability_model(prob_fn: Callable[[int, int], Sequence[float]]):
     """Model whose write probabilities are ``prob_fn(written, consumed)``."""
     return _ScriptedProbability(prob_fn)
+
+
+class _WaitK(_ScriptedProbability):
+    """Copies source payloads after a fixed head start of k chunks.
+
+    The head probability is 1 exactly when consumed >= k + written, else 0;
+    thresholds in (0,1) are irrelevant. Tokens go through ``vocab_map``
+    when one is given.
+    """
+
+    def __init__(self, k: int, vocab_map: Mapping[int, int] | None):
+        super().__init__(lambda written, consumed:
+                         [1.0 if consumed >= k + written else 0.0])
+        self.vocab_map = vocab_map
+
+    def next_token(self, states, prefix: Sequence[int]) -> int:
+        token = super().next_token(states, prefix)
+        if self.vocab_map is None or token == EOS_TOKEN:
+            return token
+        if token not in self.vocab_map:
+            raise ValueError(f"payload {token} is missing from vocab_map")
+        return self.vocab_map[token]
+
+
+def scripted_waitk_model(k: int, vocab_map: Mapping[int, int] | None = None) -> _WaitK:
+    """Wait-k copy policy; ``vocab_map`` of None copies payloads verbatim."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    return _WaitK(k, vocab_map)

@@ -22,6 +22,7 @@ from emma_stream.harness import evaluate, training
 from emma_stream.harness.cli import main
 from emma_stream.harness.models import ToyPolicyModel, _hash_rng
 from emma_stream.harness.training import ToyTrainConfig, train_single
+from emma_stream.numerics.matrix import sigmoid
 from emma_stream.runtime import (EOS_TOKEN, RuntimeConfig, SourceChunk,
                                  StreamInstance, run_stream,
                                  scripted_probability_model)
@@ -314,6 +315,26 @@ def test_toy_model_probabilities_are_the_stepwise_formula(tmp_path):
             assert ps == pytest.approx(expected, rel=0.0, abs=1e-12)
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("written,consumed,pinned", [
+    (0, 1, [0.1613302683777454, 0.9754568552738209]),
+    (1, 3, [0.42632934252534366, 0.7173735286221571]),
+    (2, 5, [0.11042930190804598, 0.17042870532774773]),
+])
+def test_scripted_stochastic_probabilities_are_pinned(written, consumed, pinned):
+    # head h answers sigmoid(g / temperature), g drawn from a generator seeded
+    # by (seed, instance id, h, written, consumed); the values are fixed
+    inst = StreamInstance("inst-0000",
+                          tuple(SourceChunk(0.1, 5 + j) for j in range(6)), (1,))
+    model = model_factory("scripted_stochastic",
+                          {"heads": 2, "temperature": 0.7}, 11)(inst)
+    states = model.encode_prefix(inst.source_chunks[:consumed])
+    ps = model.head_probabilities(states, [7] * written)
+    assert ps == pinned
+    g = [_hash_rng(11, "inst-0000", h, written, consumed).standard_normal()
+         for h in range(2)]
+    assert ps == sigmoid(np.array([g]) / 0.7)[0].tolist()
 
 
 class EncodeRecorder:

@@ -123,11 +123,6 @@ def test_no_emissions_raises():
         offsets(trace_with([]))
 
 
-def test_explicit_source_duration_overrides():
-    trace = trace_with([Emission(4.0, 1.0, (1,))], source_duration=4.0)
-    assert offsets(trace, source_duration_s=3.0)["end_offset_s"] == pytest.approx(2.0)
-
-
 # -- report aggregation -------------------------------------------------------
 
 def test_report_means_are_unweighted():
