@@ -56,12 +56,15 @@ class ToyPolicyModel(CopyModel):
     from (position, last committed token). The stepwise probability of each
     head is evaluated against the row of the latest consumed payload.
 
-    Each head's projected rows are cached: key rows ``ffn_h(embed(payload))``
-    by payload, query rows ``ffn_s(embed(position, last token))`` by that
-    pair, so a query is two lookups and one dot product per head. The
-    probabilities depend only on (written, last token, last payload), never
-    on the instance, so one model serves a whole corpus and may be shared
-    by threads: a race can only compute the same row twice.
+    The projected rows of all heads are cached stacked: key rows
+    ``ffn_h(embed(payload))`` by payload as one (H, d_k, 1) array, query
+    rows ``ffn_s(embed(position, last token))`` by that pair as one
+    (H, 1, d_k) array, so a query is two lookups and one stacked matmul
+    for all H logits. numpy runs the same dot kernel on every slice, so
+    each logit equals its head's own ``(q @ k).item()`` bit for bit. The
+    probabilities depend only on (written, last token, last payload),
+    never on the instance, so one model serves a whole corpus and may be
+    shared by threads: a race can only compute the same rows twice.
     """
 
     def __init__(self, heads: list[PolicyHeadParams], d: int, seed: int):
@@ -71,30 +74,31 @@ class ToyPolicyModel(CopyModel):
         self.n_heads = len(self.heads)
         self.d = d
         self.seed = seed
-        self._key_cache: dict[int, tuple[np.ndarray, ...]] = {}
-        self._query_cache: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
+        self._key_cache: dict[int, np.ndarray] = {}
+        self._query_cache: dict[tuple[int, int], np.ndarray] = {}
 
-    def _key_rows(self, payload: int) -> tuple[np.ndarray, ...]:
+    def _key_rows(self, payload: int) -> np.ndarray:
         rows = self._key_cache.get(payload)
         if rows is None:
             h_row = _hash_rng(self.seed, "src", payload).standard_normal((1, self.d))
-            rows = tuple(head.ffn_h.apply(h_row).T for head in self.heads)
+            rows = np.stack([head.ffn_h.apply(h_row).T for head in self.heads])
             self._key_cache[payload] = rows
         return rows
 
-    def _query_rows(self, prefix: Sequence[int]) -> tuple[np.ndarray, ...]:
+    def _query_rows(self, prefix: Sequence[int]) -> np.ndarray:
         key = (len(prefix), prefix[-1] if prefix else EOS_TOKEN)
         rows = self._query_cache.get(key)
         if rows is None:
             s_row = _hash_rng(self.seed, "dec", *key).standard_normal((1, self.d))
-            rows = tuple(head.ffn_s.apply(s_row) for head in self.heads)
+            rows = np.stack([head.ffn_s.apply(s_row) for head in self.heads])
             self._query_cache[key] = rows
         return rows
 
     def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
-        return [_sigmoid(((q @ k).item() + head.bias) / head.temperature)
-                for head, q, k in zip(self.heads, self._query_rows(prefix),
-                                      self._key_rows(states[-1]))]
+        logits = np.matmul(self._query_rows(prefix),
+                           self._key_rows(states[-1])).ravel().tolist()
+        return [_sigmoid((logit + head.bias) / head.temperature)
+                for head, logit in zip(self.heads, logits)]
 
 
 def model_factory(kind: str, parameters: dict, seed: int) -> Callable[[StreamInstance], IncrementalModel]:

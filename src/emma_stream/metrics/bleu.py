@@ -6,6 +6,9 @@ then whitespace split); token-list inputs are scored as-is. Zero n-gram
 match counts are smoothed by successive halving of the precision
 (exponential smoothing); n-gram orders with no candidates at all end the
 precision ladder and score as hard zeros.
+
+All n-gram orders of a sentence are counted in one Counter. Every count
+is an integer, so the order of counting cannot change a score.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 __all__ = ["QualityReport", "tokenize_13a", "corpus_bleu"]
@@ -60,8 +64,11 @@ def _as_tokens(entry) -> list:
     return list(entry)
 
 
-def _ngrams(tokens: Sequence, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: Sequence) -> Counter:
+    """Counts of every n-gram of orders 1..MAX_ORDER in one Counter; an
+    n-gram is the tuple of its tokens, so its order is its length."""
+    return Counter(chain.from_iterable(
+        zip(*(tokens[i:] for i in range(n))) for n in range(1, MAX_ORDER + 1)))
 
 
 def corpus_bleu(hypotheses: Sequence, references: Sequence) -> QualityReport:
@@ -77,13 +84,11 @@ def corpus_bleu(hypotheses: Sequence, references: Sequence) -> QualityReport:
         r = _as_tokens(ref)
         sys_len += len(h)
         ref_len += len(r)
-        for n in range(1, MAX_ORDER + 1):
-            h_counts = _ngrams(h, n)
-            if not h_counts:
-                continue
-            r_counts = _ngrams(r, n)
-            total[n] += sum(h_counts.values())
-            correct[n] += sum(min(c, r_counts[g]) for g, c in h_counts.items())
+        for n in range(1, min(len(h), MAX_ORDER) + 1):
+            total[n] += len(h) - n + 1
+        # the intersection keeps min(hypothesis count, reference count)
+        for gram, match in (_ngram_counts(h) & _ngram_counts(r)).items():
+            correct[len(gram)] += match
 
     precisions = [0.0] * (MAX_ORDER + 1)
     smooth = 1.0

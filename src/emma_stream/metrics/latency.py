@@ -1,7 +1,12 @@
-"""Latency metrics over decision traces: lagging and speech offsets."""
+"""Latency metrics over decision traces: lagging and speech offsets.
+
+A trace has a few dozen delays at most, so the lagging metrics check and
+scan them as Python floats; only the final mean goes to numpy.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,32 +27,41 @@ __all__ = [
 _CUTOFF_TOL = 1e-9
 
 
-def _checked_delays(delays, source_len: float) -> np.ndarray:
-    """Delays as a float array: non-empty, non-decreasing, within the source."""
-    d = np.asarray(delays, dtype=np.float64).ravel()
-    if d.size == 0:
+def _checked_delays(delays, source_len: float) -> list[float]:
+    """Delays as a list of floats: non-empty, finite, non-decreasing, within
+    the source."""
+    d = np.asarray(delays, dtype=np.float64).ravel().tolist()
+    if not d:
         raise ValueError("lagging needs at least one delay")
-    if np.any(np.diff(d) < 0):
+    if not all(map(math.isfinite, d)):
+        raise DomainError("delays must be finite")
+    if d != sorted(d):
         raise DomainError("delays must be non-decreasing")
-    if np.any(d > source_len + _CUTOFF_TOL):
+    if d[-1] > source_len + _CUTOFF_TOL:
         raise DomainError("delays exceed the source length")
     return d
 
 
-def _cutoff(d: np.ndarray, source_len: float) -> int:
+def _cutoff(d: list[float], source_len: float) -> int:
     """1-based index of the first delay equal to the source length.
 
     Falls back to |d| when no delay reaches the end (truncated outputs).
     """
-    hits = np.nonzero(np.abs(d - source_len) <= _CUTOFF_TOL)[0]
-    return int(hits[0]) + 1 if hits.size else d.size
+    for k, delay in enumerate(d, 1):
+        if abs(delay - source_len) <= _CUTOFF_TOL:
+            return k
+    return len(d)
 
 
-def _lagging(d: np.ndarray, source_len: float, denom_len: int) -> float:
+def _lagging(d: list[float], source_len: float, denom_len: int) -> float:
+    """Mean of d_k - k * |x| / denom_len over the cutoff prefix.
+
+    The terms go to numpy's pairwise sum; a Python ``sum`` or ``math.fsum``
+    rounds differently from 8 terms up.
+    """
     tau = _cutoff(d, source_len)
-    i = np.arange(tau, dtype=np.float64)
-    ideal = i * (source_len / denom_len)
-    return float(np.mean(d[:tau] - ideal))
+    rate = source_len / denom_len
+    return float(np.add.reduce([d[k] - k * rate for k in range(tau)]) / tau)
 
 
 def average_lagging(delays, source_len: float, ref_len: int) -> float:

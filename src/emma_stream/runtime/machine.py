@@ -28,12 +28,12 @@ WRITE = "WRITE"
 
 def decide(head_ps, threshold: float) -> str:
     """WRITE iff every head is at or above the threshold."""
-    head_ps = list(head_ps)
-    if not head_ps:
+    lowest = min(head_ps, default=None)
+    if lowest is None:
         raise ValueError("decision needs at least one head probability")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie strictly in (0,1), got {threshold}")
-    return WRITE if min(head_ps) >= threshold else READ
+    return WRITE if lowest >= threshold else READ
 
 
 def run_stream(model: IncrementalModel, instance: StreamInstance,

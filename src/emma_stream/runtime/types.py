@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Protocol, Sequence, runtime_checkable
 
 # End-of-sequence marker; never recorded as an output token.
@@ -23,7 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceChunk:
     duration_s: float
     payload: int
@@ -43,7 +44,7 @@ class StreamInstance:
         object.__setattr__(self, "source_chunks", tuple(self.source_chunks))
         object.__setattr__(self, "reference", tuple(int(t) for t in self.reference))
 
-    @property
+    @cached_property
     def source_duration_s(self) -> float:
         return sum(c.duration_s for c in self.source_chunks)
 
@@ -139,7 +140,7 @@ class IncrementalModel(Protocol):
         """Next target token id, or EOS_TOKEN."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     sim_time_s: float
     kind: str  # READ | WRITE | EMIT | FINISH
@@ -147,7 +148,7 @@ class TraceEvent:
     units: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Emission:
     """One synthesized output chunk: emission time and playback length."""
 

@@ -10,7 +10,8 @@ from emma_stream.metrics import corpus_bleu, tokenize_13a
 
 # -- oracle: clipped n-gram matching by explicit scan, no Counter machinery ---
 
-def oracle_bleu(hyp_token_lists, ref_token_lists):
+def oracle_components(hyp_token_lists, ref_token_lists):
+    """Precisions of orders 1-4, sys_len and ref_len from the scan counts."""
     correct = [0] * 5
     total = [0] * 5
     sys_len = 0
@@ -39,12 +40,22 @@ def oracle_bleu(hyp_token_lists, ref_token_lists):
             precisions[n] = 100.0 / (smooth * total[n])
         else:
             precisions[n] = 100.0 * correct[n] / total[n]
+    return precisions[1:], sys_len, ref_len
+
+
+def oracle_brevity_penalty(sys_len, ref_len):
+    return 1.0 if sys_len >= ref_len else math.exp(1.0 - ref_len / sys_len)
+
+
+def oracle_bleu(hyp_token_lists, ref_token_lists):
+    precisions, sys_len, ref_len = oracle_components(hyp_token_lists,
+                                                     ref_token_lists)
     if sys_len == 0:
         return 0.0
-    bp = 1.0 if sys_len >= ref_len else math.exp(1.0 - ref_len / sys_len)
+    bp = oracle_brevity_penalty(sys_len, ref_len)
     logs = 0.0
-    for n in range(1, 5):
-        logs += math.log(precisions[n]) if precisions[n] > 0 else -9999999999.0
+    for p in precisions:
+        logs += math.log(p) if p > 0 else -9999999999.0
     return bp * math.exp(logs / 4.0)
 
 
@@ -105,6 +116,28 @@ def test_matches_oracle_pair_by_pair():
         r = [rng.choice(vocab) for _ in range(rng.randint(1, 7))]
         assert corpus_bleu([h], [r]).bleu == pytest.approx(
             oracle_bleu([h], [r]), abs=1e-6)
+
+
+def test_components_equal_the_oracle_scan_counts():
+    # short and empty hypotheses leave higher orders without candidates
+    rng = random.Random(4321)
+    vocab = list("abcde")
+    corpora = [([[]], [["a", "b"]]), ([["a"], []], [["a"], ["b", "c"]]),
+               ([["a", "b", "a"]], [["b", "a", "b", "a"]])]
+    for _ in range(300):
+        size = rng.randint(1, 4)
+        corpora.append((
+            [[rng.choice(vocab) for _ in range(rng.randint(0, 9))]
+             for _ in range(size)],
+            [[rng.choice(vocab) for _ in range(rng.randint(1, 9))]
+             for _ in range(size)]))
+    for hyps, refs in corpora:
+        got = corpus_bleu(hyps, refs)
+        precisions, sys_len, ref_len = oracle_components(hyps, refs)
+        assert got.precisions == tuple(precisions)
+        assert (got.sys_len, got.ref_len) == (sys_len, ref_len)
+        assert got.brevity_penalty == (
+            oracle_brevity_penalty(sys_len, ref_len) if sys_len else 0.0)
 
 
 def test_clipping_limits_repeated_tokens():

@@ -20,7 +20,7 @@ from emma_stream.harness import (COLUMNS, Manifest, SweepReport, SweepRow,
                                  train_toy_policy, write_corpus)
 from emma_stream.harness import evaluate, training
 from emma_stream.harness.cli import main
-from emma_stream.harness.models import ToyPolicyModel, _hash_rng
+from emma_stream.harness.models import ToyPolicyModel, _hash_rng, _sigmoid
 from emma_stream.harness.training import ToyTrainConfig, train_single
 from emma_stream.numerics.matrix import sigmoid
 from emma_stream.runtime import (EOS_TOKEN, RuntimeConfig, SourceChunk,
@@ -237,6 +237,51 @@ def test_sweep_waitk_rows_identical(tmp_path):
     assert len(stripped) == 1
 
 
+# threshold, bleu, al, laal, start_offset, end_offset, n_instances, n_failures
+# of a 0.3/0.5/0.7 sweep over generate_corpus(12, 6, 250.0, vocab=50, seed=5)
+# with manifest seed 11, at the default runtime and at max_target_len 5
+PINNED_SWEEP_ROWS = {
+    (256, "toy_trained"): [
+        (0.3, 100.0, 1.430556, 1.430556, 1.4375, 0.115, 12, 0),
+        (0.5, 100.0, 1.430556, 1.430556, 1.4375, 0.115, 12, 0),
+        (0.7, 100.0, 1.5, 1.5, 1.5, 0.12, 12, 0)],
+    (256, "scripted_stochastic"): [
+        (0.3, 100.0, 0.429167, 0.429167, 0.395833, 0.041667, 12, 0),
+        (0.5, 100.0, 0.980903, 0.980903, 0.8125, 0.091667, 12, 0),
+        (0.7, 100.0, 1.333333, 1.333333, 1.291667, 0.11, 12, 0)],
+    (256, "scripted_waitk"): [
+        (0.3, 100.0, 0.5, 0.5, 0.5, 0.04, 12, 0),
+        (0.5, 100.0, 0.5, 0.5, 0.5, 0.04, 12, 0),
+        (0.7, 100.0, 0.5, 0.5, 0.5, 0.04, 12, 0)],
+    (5, "toy_trained"): [
+        (0.3, 81.873075, 1.430556, 1.430556, 1.4375, 0.095, 12, 0),
+        (0.5, 81.873075, 1.430556, 1.430556, 1.4375, 0.095, 12, 0),
+        (0.7, 81.873075, 1.5, 1.5, 1.5, 0.1, 12, 0)],
+    (5, "scripted_stochastic"): [
+        (0.3, 81.873075, 0.436111, 0.436111, 0.395833, -0.053333, 12, 0),
+        (0.5, 81.873075, 0.980903, 0.980903, 0.8125, 0.071667, 12, 0),
+        (0.7, 81.873075, 1.333333, 1.333333, 1.291667, 0.09, 12, 0)],
+    (5, "scripted_waitk"): [
+        (0.3, 81.873075, 0.5, 0.5, 0.5, 0.02, 12, 0),
+        (0.5, 81.873075, 0.5, 0.5, 0.5, 0.02, 12, 0),
+        (0.7, 81.873075, 0.5, 0.5, 0.5, 0.02, 12, 0)],
+}
+
+
+def test_sweep_report_bytes_are_pinned(tmp_path):
+    corpus = write_corpus(generate_corpus(12, 6, 250.0, vocab=50, seed=5),
+                          tmp_path / "corpus.jsonl")
+    for (cap, kind), rows in PINNED_SWEEP_ROWS.items():
+        m = Manifest(instances=corpus, model_kind=kind,
+                     model_parameters={"steps": 20} if kind == "toy_trained"
+                     else {},
+                     runtime=RuntimeConfig(max_target_len=cap),
+                     sweep=(0.3, 0.5, 0.7), seed=11)
+        pinned = json.dumps({"rows": [dict(zip(COLUMNS, row)) for row in rows]},
+                            indent=2) + "\n"
+        assert render_report(threshold_sweep(m), format="json") == pinned
+
+
 def test_sweep_needs_two_thresholds(tmp_path):
     corpus = copy_corpus_path(tmp_path, n=2)
     m = Manifest(instances=corpus, sweep=(0.5,))
@@ -313,6 +358,11 @@ def test_toy_model_probabilities_are_the_stepwise_formula(tmp_path):
             expected = [stepwise_probability(head, rows).item()
                         for head in shared.heads]
             assert ps == pytest.approx(expected, rel=0.0, abs=1e-12)
+            # and bit for bit the per-head dot product of the cached rows
+            assert ps == [
+                _sigmoid(((head.ffn_s.apply(s) @ head.ffn_h.apply(h).T).item()
+                          + head.bias) / head.temperature)
+                for head in shared.heads]
             checked += 1
     assert checked > 0
 

@@ -89,6 +89,62 @@ def test_laal_never_below_al(hyp_len, ref_len):
         assert laal == pytest.approx(al)
 
 
+@pytest.mark.parametrize("metric", [
+    lambda d, s: average_lagging(d, s, 2),
+    lambda d, s: length_adaptive_average_lagging(d, s, 2, 2),
+], ids=["al", "laal"])
+@pytest.mark.parametrize("delays,source_len", [
+    ([float("nan")], 1.0),
+    ([float("-inf"), 0.5], 2.0),
+    ([0.5, float("nan"), 1.0], 2.0),
+    ([0.5, float("inf")], float("inf")),
+], ids=["nan", "minus-inf", "nan-inside", "inf-last"])
+def test_non_finite_delays_rejected(metric, delays, source_len):
+    with pytest.raises(DomainError, match="delays must be finite"):
+        metric(delays, source_len)
+
+
+def reference_lagging(delays, source_len, denom_len):
+    """The array formulation of AL: np.nonzero cutoff, np.arange ideal,
+    np.mean over the cutoff prefix."""
+    d = np.asarray(delays, dtype=np.float64).ravel()
+    hits = np.nonzero(np.abs(d - source_len) <= 1e-9)[0]
+    tau = int(hits[0]) + 1 if hits.size else d.size
+    ideal = np.arange(tau, dtype=np.float64) * (source_len / denom_len)
+    return float(np.mean(d[:tau] - ideal))
+
+
+def test_lagging_bits_equal_the_array_formulation():
+    rng = np.random.default_rng(2024)
+    seen = {"short": 0, "long": 0, "hit": 0, "truncated": 0}
+    for case in range(2400):
+        n = int(rng.integers(1, 41))
+        chunk = float(rng.choice([0.04, 0.25, 1.0, rng.uniform(0.01, 2.0)]))
+        source_len = chunk * int(rng.integers(1, 60))
+        d = np.sort(rng.uniform(0.0, source_len, size=n))
+        if case % 3:  # the source end is reached at a random position
+            at = int(rng.integers(0, n))
+            # every fifth end lands near it: inside the 1e-9 cut or below
+            d[at:] = source_len + (rng.uniform(-2e-9, 1e-9) if case % 5 == 0
+                                   else 0.0)
+            d.sort()
+        else:  # truncated: every delay stays clear of the source end
+            d = np.minimum(d, source_len - 1e-6)
+        if case % 2:
+            d = d.tolist()
+        ref_len = int(rng.integers(1, 41))
+        hyp_len = int(rng.integers(1, 41))
+        assert average_lagging(d, source_len, ref_len) \
+            == reference_lagging(d, source_len, ref_len)
+        assert length_adaptive_average_lagging(d, source_len, ref_len, hyp_len) \
+            == reference_lagging(d, source_len, max(ref_len, hyp_len))
+        hit = np.abs(np.asarray(d) - source_len) <= 1e-9
+        tau = int(np.argmax(hit)) + 1 if hit.any() else n
+        seen["long" if tau >= 8 else "short"] += 1
+        seen["hit" if hit.any() else "truncated"] += 1
+    assert min(seen.values()) >= 400, seen
+
+
 # -- offsets ------------------------------------------------------------------
 
 def test_single_emission_end_offset():
