@@ -1,4 +1,13 @@
-"""Corpus evaluation and threshold sweeps."""
+"""Corpus evaluation and threshold sweeps.
+
+``evaluate_corpus`` and ``threshold_sweep`` share one scoring path: each
+instance runs the call's thresholds in ascending order, and a threshold
+inside the previous trace's ``threshold_interval`` reuses that outcome
+instead of streaming again. ``run_stream``, ``model_factory``,
+``load_instances``, ``corpus_bleu`` and the lagging and offset functions
+are looked up in this module's globals at call time, so callers can swap
+them (tracing does).
+"""
 
 from __future__ import annotations
 
@@ -68,11 +77,7 @@ class _Scored:
     reference: tuple[int, ...]
 
 
-def _score_instance(instance: StreamInstance, factory, config, trace_dir):
-    model = factory(instance)
-    trace = run_stream(model, instance, config)
-    if trace_dir is not None:
-        write_trace_jsonl(trace, trace_dir)
+def _score_trace(instance: StreamInstance, trace) -> _Scored:
     duration = instance.source_duration_s
     al = average_lagging(trace.delays, duration, len(instance.reference))
     laal = length_adaptive_average_lagging(
@@ -90,12 +95,40 @@ def _score_instance(instance: StreamInstance, factory, config, trace_dir):
                    instance.reference)
 
 
-def _prepare(manifest: Manifest, workers: int):
-    """The instances and the model factory of one top-level call.
+def _score_instance(instance: StreamInstance, factory, configs, trace_dirs):
+    """The outcome of one instance at each config, thresholds ascending: a
+    ``_Scored``, or ``(id, error)`` when streaming or scoring failed.
 
-    ``load_instances`` and ``model_factory`` are looked up in this module's
-    globals at call time, so callers can swap them (tracing does).
+    A trace holds at every threshold inside its ``threshold_interval``, so
+    the previous threshold's outcome is reused (and its trace written again
+    under the new trace directory) when the next threshold lies inside it.
+    A failed instance is streamed again at the next threshold. Only the
+    previous trace is kept.
     """
+    outcomes = []
+    last = None  # (trace, scored) of the previous threshold
+    for config, trace_dir in zip(configs, trace_dirs):
+        if last is not None:
+            lo, hi = last[0].threshold_interval
+            if not lo < config.threshold <= hi:
+                last = None
+        if last is None:
+            try:
+                trace = run_stream(factory(instance), instance, config)
+                if trace_dir is not None:
+                    write_trace_jsonl(trace, trace_dir)
+                last = (trace, _score_trace(instance, trace))
+            except (EmptyOutputError, DomainError, ValueError) as exc:
+                outcomes.append((instance.id, f"{type(exc).__name__}: {exc}"))
+                continue
+        elif trace_dir is not None:
+            write_trace_jsonl(last[0], trace_dir)
+        outcomes.append(last[1])
+    return outcomes
+
+
+def _prepare(manifest: Manifest, workers: int):
+    """The instances and the model factory of one top-level call."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     instances = load_instances(manifest.instances)
@@ -106,35 +139,49 @@ def _prepare(manifest: Manifest, workers: int):
     return instances, factory
 
 
-def _score_corpus(instances, factory, config, workers: int,
-                  trace_dir) -> CorpusResult:
-    """Stream every instance at ``config``, aggregate in instance-id order."""
+def _score_corpus(instances, factory, configs, workers: int,
+                  trace_dirs) -> list[CorpusResult]:
+    """Stream every instance at each of ``configs`` (thresholds ascending)
+    and aggregate each threshold in instance-id order.
+
+    The first threshold at which every instance failed raises CorpusError.
+    A threshold whose scored hypotheses and references equal the previous
+    threshold's reuses its quality report.
+    """
 
     def score(instance):
-        try:
-            return _score_instance(instance, factory, config, trace_dir)
-        except (EmptyOutputError, DomainError, ValueError) as exc:
-            return (instance.id, f"{type(exc).__name__}: {exc}")
+        return _score_instance(instance, factory, configs, trace_dirs)
 
     if workers == 1:
-        outcomes = [score(inst) for inst in instances]
+        per_instance = [score(inst) for inst in instances]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(score, instances))
+            per_instance = list(pool.map(score, instances))
 
-    scored = sorted((o for o in outcomes if isinstance(o, _Scored)),
-                    key=lambda s: s.instance_id)
-    failures = tuple(sorted(o for o in outcomes if not isinstance(o, _Scored)))
-    if not scored:
-        raise CorpusError(
-            f"all {len(instances)} instances failed; first: {failures[0][1]}")
-
-    quality = corpus_bleu([s.hypothesis for s in scored],
-                          [s.reference for s in scored])
-    latency = build_latency_report(s.latency for s in scored)
-    return CorpusResult(threshold=config.threshold, latency=latency,
-                        quality=quality, n_instances=len(scored),
-                        failures=failures)
+    results = []
+    previous = None  # (hypotheses, references, quality) of the last row
+    for k, config in enumerate(configs):
+        outcomes = [row[k] for row in per_instance]
+        scored = sorted((o for o in outcomes if isinstance(o, _Scored)),
+                        key=lambda s: s.instance_id)
+        failures = tuple(sorted(o for o in outcomes
+                                if not isinstance(o, _Scored)))
+        if not scored:
+            raise CorpusError(f"all {len(instances)} instances failed; "
+                              f"first: {failures[0][1]}")
+        hypotheses = [s.hypothesis for s in scored]
+        references = [s.reference for s in scored]
+        if previous is not None and previous[:2] == (hypotheses, references):
+            quality = previous[2]
+        else:
+            quality = corpus_bleu(hypotheses, references)
+        previous = (hypotheses, references, quality)
+        latency = build_latency_report(s.latency for s in scored)
+        results.append(CorpusResult(threshold=config.threshold,
+                                    latency=latency, quality=quality,
+                                    n_instances=len(scored),
+                                    failures=failures))
+    return results
 
 
 def evaluate_corpus(manifest: Manifest, *, threshold: float | None = None,
@@ -149,7 +196,8 @@ def evaluate_corpus(manifest: Manifest, *, threshold: float | None = None,
     config = manifest.runtime
     if threshold is not None:
         config = replace(config, threshold=float(threshold))
-    return _score_corpus(instances, factory, config, workers, trace_dir)
+    return _score_corpus(instances, factory, (config,), workers,
+                         (trace_dir,))[0]
 
 
 def threshold_sweep(manifest: Manifest, *, workers: int = 1,
@@ -157,18 +205,23 @@ def threshold_sweep(manifest: Manifest, *, workers: int = 1,
     """One corpus score per sweep threshold, rows sorted by threshold.
 
     The instances are loaded and the model factory is built (for
-    ``toy_trained``: trained) once for the whole sweep; each row equals
-    ``evaluate_corpus(manifest, threshold=t).to_row()``. Traces of
-    threshold t go to ``trace_dir/threshold-<t:.6f>/``.
+    ``toy_trained``: trained) once for the whole sweep. Each instance runs
+    the thresholds in ascending order and is streamed again only when a
+    policy decision would change (see ``_score_instance``), so each row
+    still equals ``evaluate_corpus(manifest, threshold=t).to_row()``.
+    Traces of threshold t go to ``trace_dir/threshold-<t:.6f>/``. Every
+    instance runs every threshold before the rows are aggregated, so when
+    every instance fails at some threshold the CorpusError comes after the
+    traces of all thresholds are written.
     """
     thresholds = sorted(manifest.sweep)
     if len(thresholds) < 2:
         raise ValueError("a sweep needs at least two thresholds")
     instances, factory = _prepare(manifest, workers)
-    rows = tuple(
-        _score_corpus(instances, factory,
-                      replace(manifest.runtime, threshold=float(t)), workers,
-                      None if trace_dir is None
-                      else Path(trace_dir) / f"threshold-{t:.6f}").to_row()
-        for t in thresholds)
-    return SweepReport(rows=rows)
+    configs = tuple(replace(manifest.runtime, threshold=float(t))
+                    for t in thresholds)
+    trace_dirs = tuple(None if trace_dir is None
+                       else Path(trace_dir) / f"threshold-{t:.6f}"
+                       for t in thresholds)
+    results = _score_corpus(instances, factory, configs, workers, trace_dirs)
+    return SweepReport(rows=tuple(result.to_row() for result in results))

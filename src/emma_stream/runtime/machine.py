@@ -9,13 +9,19 @@ the source is exhausted the loop writes without asking (the offline tail)
 until the model emits EOS or the target cap is hit, and leftover units
 below the minimum chunk size are flushed in a final emission.
 
-``run_stream`` is the whole loop; its state lives in locals.
+``run_stream`` is the whole loop; its state lives in locals. It also
+records the threshold interval (lo, hi] over which the trace holds (see
+``DecisionTrace.threshold_interval``): every threshold in it takes every
+decision the same way, so a model that is deterministic given its call
+history sees the same calls and the loop returns the same trace.
 
 The simulated clock advances only with source consumption; model compute
 time is not modeled.
 """
 
 from __future__ import annotations
+
+import math
 
 from .types import (EOS_TOKEN, DecisionTrace, Emission, IncrementalModel,
                     PrefixView, RuntimeConfig, StreamInstance, TraceEvent)
@@ -26,11 +32,17 @@ READ = "READ"
 WRITE = "WRITE"
 
 
-def decide(head_ps, threshold: float) -> str:
-    """WRITE iff every head is at or above the threshold."""
+def _lowest(head_ps):
+    """The minimum head probability; consumes ``head_ps`` once."""
     lowest = min(head_ps, default=None)
     if lowest is None:
         raise ValueError("decision needs at least one head probability")
+    return lowest
+
+
+def decide(head_ps, threshold: float) -> str:
+    """WRITE iff every head is at or above the threshold."""
+    lowest = _lowest(head_ps)
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie strictly in (0,1), got {threshold}")
     return WRITE if lowest >= threshold else READ
@@ -42,6 +54,11 @@ def run_stream(model: IncrementalModel, instance: StreamInstance,
     chunks = instance.source_chunks
     if not chunks:
         raise ValueError(f"instance {instance.id!r} has no source chunks")
+    n_chunks = len(chunks)
+    threshold = config.threshold  # RuntimeConfig checked it lies in (0,1)
+    units_per_token = config.units_per_token
+    min_unit_chunk = config.min_unit_chunk
+    lo, hi = -math.inf, math.inf
     states = None
     consumed = 0
     sim_time = 0.0
@@ -52,24 +69,31 @@ def run_stream(model: IncrementalModel, instance: StreamInstance,
     pending: list[int] = []  # committed tokens awaiting emission
     truncated = False
 
-    def emit() -> None:
-        units = len(pending) * config.units_per_token
-        emissions.append(Emission(
-            emit_time_s=sim_time,
-            playback_duration_s=units * config.unit_duration_s,
-            tokens=tuple(pending)))
-        events.append(TraceEvent(sim_time, "EMIT", units=units))
+    def emit(at: float) -> None:
+        units = len(pending) * units_per_token
+        emissions.append(Emission(at, units * config.unit_duration_s,
+                                  tuple(pending)))
+        events.append(TraceEvent(at, "EMIT", None, units))
         pending.clear()
 
     while True:
-        if consumed < len(chunks) and (consumed == 0 or decide(
-                model.head_probabilities(states, outputs),
-                config.threshold) == READ):
-            sim_time += chunks[consumed].duration_s
-            consumed += 1
-            states = model.encode_prefix(PrefixView(chunks, consumed))
-            events.append(TraceEvent(sim_time, READ))
-            continue
+        if consumed < n_chunks:
+            if consumed == 0:
+                read = True  # the first read is unconditional
+            else:
+                lowest = _lowest(model.head_probabilities(states, outputs))
+                read = not lowest >= threshold  # a NaN minimum reads
+                if read:
+                    if lowest > lo:  # a NaN fails this test and drops out
+                        lo = lowest
+                elif lowest < hi:
+                    hi = lowest
+            if read:
+                sim_time += chunks[consumed].duration_s
+                consumed += 1
+                states = model.encode_prefix(PrefixView(chunks, consumed))
+                events.append(TraceEvent(sim_time, READ))
+                continue
         if len(outputs) >= config.max_target_len:
             truncated = True
             break
@@ -78,12 +102,12 @@ def run_stream(model: IncrementalModel, instance: StreamInstance,
             break
         outputs.append(token)
         delays.append(sim_time)
-        events.append(TraceEvent(sim_time, WRITE, token=token))
+        events.append(TraceEvent(sim_time, WRITE, token))
         pending.append(token)
-        if len(pending) * config.units_per_token >= config.min_unit_chunk:
-            emit()
+        if len(pending) * units_per_token >= min_unit_chunk:
+            emit(sim_time)
     if pending:
-        emit()  # flush units below the minimum chunk size
+        emit(sim_time)  # flush units below the minimum chunk size
     events.append(TraceEvent(sim_time, "FINISH"))
     return DecisionTrace(
         instance_id=instance.id,
@@ -92,4 +116,5 @@ def run_stream(model: IncrementalModel, instance: StreamInstance,
         outputs=outputs,
         delays=delays,
         emissions=emissions,
-        truncated=truncated)
+        truncated=truncated,
+        threshold_interval=(lo, hi))

@@ -23,8 +23,10 @@ class Payloads(PrefixView):
     __slots__ = ()
 
     def __init__(self, chunks: Sequence[SourceChunk]):
-        self._items = chunks._items if isinstance(chunks, PrefixView) else chunks
-        self._n = len(chunks)
+        if isinstance(chunks, PrefixView):
+            self._items, self._n = chunks._items, chunks._n
+        else:
+            self._items, self._n = chunks, len(chunks)
 
     def __getitem__(self, index):
         if isinstance(index, slice):

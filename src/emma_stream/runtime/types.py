@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -160,7 +161,16 @@ class Emission:
 @dataclass
 class DecisionTrace:
     """Everything a run produced: events, committed tokens, their delays
-    (seconds of source consumed at commit time), and emitted chunks."""
+    (seconds of source consumed at commit time), and emitted chunks.
+
+    ``threshold_interval`` is (lo, hi): the run took every policy decision
+    the way it would at any threshold t with lo < t <= hi. ``run_stream``
+    sets lo to the largest minimum head probability among its READ
+    decisions (-inf without any) and hi to the smallest among its WRITE
+    decisions (+inf without any); the unconditional first read and the
+    offline-tail writes are no decisions. The default is empty: a trace
+    made by hand claims no threshold.
+    """
 
     instance_id: str
     source_duration_s: float
@@ -169,3 +179,4 @@ class DecisionTrace:
     delays: list[float] = field(default_factory=list)
     emissions: list[Emission] = field(default_factory=list)
     truncated: bool = False
+    threshold_interval: tuple[float, float] = (math.inf, -math.inf)

@@ -26,6 +26,7 @@ from emma_stream.numerics.matrix import sigmoid
 from emma_stream.runtime import (EOS_TOKEN, RuntimeConfig, SourceChunk,
                                  StreamInstance, run_stream,
                                  scripted_probability_model)
+from emma_stream.runtime.models import CopyModel
 
 
 def write_jsonl(path, entries):
@@ -184,6 +185,8 @@ def test_all_failed_corpus_raises(tmp_path):
     m = Manifest(instances=corpus, model_kind="scripted_waitk")
     with pytest.raises(CorpusError, match="all 3 instances failed"):
         evaluate_corpus(m)
+    with pytest.raises(CorpusError, match="all 3 instances failed"):
+        threshold_sweep(replace(m, sweep=(0.4, 0.7)))
 
 
 def stochastic_manifest(tmp_path, **kwargs):
@@ -226,15 +229,31 @@ def test_sweep_stochastic_al_non_decreasing(tmp_path):
     assert all(b >= a - 1e-12 for a, b in zip(als, als[1:]))
 
 
-def test_sweep_waitk_rows_identical(tmp_path):
+def counted_streams(monkeypatch):
+    """Counts the calls through ``evaluate.run_stream``."""
+    streams = []
+
+    def counting(model, instance, config):
+        streams.append((instance.id, config.threshold))
+        return run_stream(model, instance, config)
+    monkeypatch.setattr(evaluate, "run_stream", counting)
+    return streams
+
+
+def test_sweep_waitk_rows_identical(tmp_path, monkeypatch):
     m = waitk_manifest(tmp_path, k=2)
     m = Manifest(instances=m.instances, model_kind="scripted_waitk",
                  model_parameters={"k": 2}, sweep=(0.4, 0.5, 0.6, 0.7))
+    streams = counted_streams(monkeypatch)
     report = threshold_sweep(m)
     stripped = {tuple(
         getattr(r, c) for c in COLUMNS if c != "threshold")
         for r in report.rows}
     assert len(stripped) == 1
+    # wait-k heads answer exactly 0 or 1, so its traces hold on (0, 1]:
+    # each instance is streamed once, at the lowest threshold
+    assert sorted(streams) == [(inst.id, 0.4)
+                               for inst in load_instances(m.instances)]
 
 
 # threshold, bleu, al, laal, start_offset, end_offset, n_instances, n_failures
@@ -287,6 +306,112 @@ def test_sweep_needs_two_thresholds(tmp_path):
     m = Manifest(instances=corpus, sweep=(0.5,))
     with pytest.raises(ValueError, match="two thresholds"):
         threshold_sweep(m)
+
+
+# -- a sweep streams again only when a decision would change ------------------
+
+SURFACE_THRESHOLDS = (0.3, 0.5, 0.7)
+
+
+def instance_rng(seed, inst):
+    return np.random.default_rng([seed, int(inst.id.rsplit("-", 1)[1])])
+
+
+def with_quirks(model, inst):
+    """Of every four instances, one fails (ValueError) when it writes
+    before its third read and one writes token 0 there instead of a copy,
+    so the failures and the hypotheses change with the threshold."""
+    quirk = int(inst.id.rsplit("-", 1)[1]) % 4
+    copy = model.next_token
+
+    def next_token(states, prefix):
+        if len(states) < 3 and quirk == 0:
+            raise ValueError("wrote before the third read")
+        if len(states) < 3 and quirk == 1:
+            return 0
+        return copy(states, prefix)
+    model.next_token = next_token
+    return model
+
+
+def surface_factory(seed, n_heads):
+    """Scripted-probability models over random surfaces: head probabilities
+    drawn per (written, consumed) from the sweep thresholds themselves,
+    NaN, 0, 1 and uniform values."""
+    pool = SURFACE_THRESHOLDS + (math.nan, 0.0, 1.0)
+
+    def build(inst):
+        rng = instance_rng(seed, inst)
+        n = len(inst.source_chunks)
+        draws = rng.uniform(size=(n + 1, n + 1, n_heads))
+        picks = rng.integers(0, 2 * len(pool), size=draws.shape)
+        table = np.where(picks < len(pool),
+                         np.take(pool, np.minimum(picks, len(pool) - 1)),
+                         draws).tolist()
+        return with_quirks(scripted_probability_model(
+            lambda written, consumed: table[written][consumed]), inst)
+    return build
+
+
+class QueryCountModel(CopyModel):
+    """History-dependent: its answer depends on how many policy queries it
+    has served in this stream, not on (written, consumed)."""
+
+    def __init__(self, answers):
+        self.answers = answers
+        self.served = 0
+
+    def _probabilities(self, states, prefix):
+        self.served += 1
+        return [self.answers[(self.served - 1) % len(self.answers)]]
+
+
+def history_factory(seed):
+    pool = SURFACE_THRESHOLDS + (math.nan,)
+
+    def build(inst):
+        rng = instance_rng(seed, inst)
+        return with_quirks(QueryCountModel(
+            [pool[k] if k < len(pool) else rng.uniform()
+             for k in rng.integers(0, 8, size=5)]), inst)
+    return build
+
+
+@pytest.mark.parametrize("model,seed,cap,l_unit,workers", [
+    ("surface-1", 1, 256, 1, 1),
+    ("surface-2", 2, 3, 1, 3),
+    ("surface-3", 3, 256, 3, 1),
+    ("surface-2", 4, 4, 2, 3),
+    ("surface-3", 5, 2, 1, 3),
+    ("history", 6, 256, 1, 1),
+    ("history", 7, 4, 2, 3),
+])
+def test_sweep_rows_and_traces_equal_per_threshold_runs(tmp_path, monkeypatch,
+                                                        model, seed, cap,
+                                                        l_unit, workers):
+    factory = (history_factory(seed) if model == "history"
+               else surface_factory(seed, int(model[-1])))
+    monkeypatch.setattr(evaluate, "model_factory", lambda *args: factory)
+    corpus = copy_corpus_path(tmp_path, n=16, length=6, seed=seed)
+    m = Manifest(instances=corpus, model_kind="scripted_waitk",
+                 runtime=RuntimeConfig(max_target_len=cap,
+                                       min_unit_chunk=l_unit),
+                 sweep=SURFACE_THRESHOLDS)
+    streams = counted_streams(monkeypatch)
+    rows = threshold_sweep(m, workers=workers,
+                           trace_dir=tmp_path / "sweep").rows
+    # some outcomes were reused, and failures and BLEU vary by threshold
+    assert len(streams) < len(SURFACE_THRESHOLDS) * 16
+    assert len({(row.n_failures, row.bleu) for row in rows}) > 1
+    for t, row in zip(SURFACE_THRESHOLDS, rows):
+        one = tmp_path / f"eval-{t}"
+        assert evaluate_corpus(m, threshold=t, workers=workers,
+                               trace_dir=one).to_row() == row
+        swept = tmp_path / "sweep" / f"threshold-{t:.6f}"
+        names = sorted(p.name for p in one.iterdir())
+        assert sorted(p.name for p in swept.iterdir()) == names
+        for name in names:
+            assert (swept / name).read_bytes() == (one / name).read_bytes()
 
 
 # -- shared toy model and sweep reuse -----------------------------------------

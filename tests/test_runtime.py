@@ -1,5 +1,7 @@
 """The streaming state machine against hand-traced schedules."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,55 @@ def test_raising_threshold_never_lowers_delays():
             assert len(trace.delays) == len(prev)
             assert all(b >= a for a, b in zip(prev, trace.delays))
         prev = trace.delays
+
+
+class Generating:
+    """Wraps a model; hands out its head probabilities as a generator,
+    which the loop can consume only once."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def encode_prefix(self, chunks):
+        return self.model.encode_prefix(chunks)
+
+    def head_probabilities(self, states, prefix):
+        return (p for p in self.model.head_probabilities(states, prefix))
+
+    def next_token(self, states, prefix):
+        return self.model.next_token(states, prefix)
+
+
+def test_trace_holds_exactly_on_its_threshold_interval():
+    # on (lo, hi] every decision and so the trace are the same; at lo a
+    # READ turns into a WRITE, just above hi a WRITE turns into a READ
+    grid = [0.2, 0.4, 0.5, 0.6, 0.8, math.nan]
+    tested = {"lo": 0, "hi": 0}
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n_heads = 1 + seed % 3
+        table = rng.choice(grid, size=(9, 9, n_heads)).tolist()
+        model = Generating(scripted_probability_model(
+            lambda w, c: table[w][c]))
+        inst = instance_of(8)
+
+        def lines_at(t):
+            return trace_to_lines(run_stream(model, inst,
+                                             RuntimeConfig(threshold=t)))
+
+        t0 = float(rng.choice([0.3, 0.4, 0.5, 0.7]))
+        trace = run_stream(model, inst, RuntimeConfig(threshold=t0))
+        lo, hi = trace.threshold_interval
+        assert lo < t0 <= hi
+        middle = (max(lo, 0.0) + min(hi, 1.0)) / 2
+        inside = [t for t in (np.nextafter(lo, math.inf), middle, hi)
+                  if 0.0 < t < 1.0]
+        assert all(lines_at(t) == trace_to_lines(trace) for t in inside)
+        for side, t in (("lo", lo), ("hi", np.nextafter(hi, math.inf))):
+            if 0.0 < t < 1.0:
+                assert lines_at(t) != trace_to_lines(trace)
+                tested[side] += 1
+    assert min(tested.values()) >= 10
 
 
 def test_sim_time_non_decreasing():
