@@ -9,16 +9,19 @@ loss value and the returned gradient come from one graph. Every trainable
 array is read from one leaf, the flat parameter vector of
 :func:`~emma_stream.emma.params.pack_parameters`: the policy heads through
 the fused ``Tape.stepwise`` and ``Tape.energies`` ops, the readout through
-``Tape.affine``. The gradient is that leaf's gradient, in the same order.
+``Tape.readout``. The gradient is that leaf's gradient, in the same order.
 
 Several loss-weight settings step in lockstep through one call: the leaf
-then has one row per setting, and the heads of every setting go through
-one stepwise, energies, alignment and lookback node. Each setting records
-its own tail (delay moments, head mean, readout, NLL and weighting) on
-its block of rows, and backward runs once from the sum of the losses.
-Each parameter slot of a row feeds only its own setting's loss, so each
-row of the leaf's gradient is that setting's gradient, bit for bit as if
-computed alone.
+then has one row per setting, and every op is recorded once for all of
+them, ten nodes with the gradient at any number of settings. The heads
+of every setting go through one stepwise, energies, alignment and
+lookback node; the tail (weighted delay moments, readout, NLL and their
+sum) works on the settings' blocks of rows and gives one output row per
+setting, and backward runs once from the sum of the losses. Each
+parameter slot of a row feeds only its own setting's loss, and the tail
+ops compute each block as a call of its own would, so each row of the
+leaf's gradient is that setting's gradient, bit for bit as if computed
+alone.
 """
 
 from __future__ import annotations
@@ -79,14 +82,9 @@ def emma_objective(heads: list[PolicyHeadParams], states: EncDecStates,
         raise ValueError("objective needs at least one policy head")
     if not settings:
         raise ValueError("objective needs at least one loss-weight setting")
-    targets = [int(v) for v in np.asarray(targets).ravel()]
-    if len(targets) != states.target_len:
+    if np.size(targets) != states.target_len:
         raise ValueError(
-            f"{len(targets)} targets for {states.target_len} decoder steps")
-    vocab = readout.vocab_size
-    for v in targets:
-        if not 0 <= v < vocab:
-            raise ValueError(f"target index {v} outside vocabulary of {vocab}")
+            f"{np.size(targets)} targets for {states.target_len} decoder steps")
     ideal = ideal_delays(states.source_len, states.target_len)
     layout = parameter_slots(heads, readout)
     head_slots, (w_out_slot, b_out_slot) = layout
@@ -100,48 +98,26 @@ def emma_objective(heads: list[PolicyHeadParams], states: EncDecStates,
 
     t = Tape()
     params = t.leaf(np.reshape(theta, (n_settings, n)))
-    n_heads, n_target = len(heads), states.target_len
-    block = n_heads * n_target  # rows of one setting's stacked heads
-
-    # every setting's heads: probabilities, alignment and attention, stacked
-    # by row, setting by setting
+    # every setting's heads, then every setting's tail: one node each, its
+    # rows or output rows stacked setting by setting
     p = t.stepwise(params, states.s, states.h, head_slots)
     e = t.energies(params, states.s, states.h, head_slots)
     alpha = t.monotonic_alignment(p, force_last_column,
-                                  heads=n_settings * n_heads)
+                                  heads=n_settings * len(heads))
     beta = t.lookback_attention(alpha, e)
-    v = t.constant(states.v)
-    # the head average [I ... I] / H of one setting's rows, as one matmul
-    head_mean = t.constant(
-        (np.arange(block) % n_target == np.arange(n_target)[:, None]) / n_heads)
-
-    losses, parts = [], []
-    for r, w in enumerate(settings):
-        rows, shift = (r * block, (r + 1) * block), r * n
-        moments = t.delay_moments(t.rows(alpha, *rows), ideal)  # [latency, variance]
-        attn = t.matmul(t.rows(beta, *rows), v)
-        logits = t.affine(t.matmul(head_mean, attn), params,
-                          (w_out_slot[0] + shift,) + w_out_slot[1:],
-                          (b_out_slot[0] + shift,) + b_out_slot[1:])
-        nll = t.cross_entropy(logits, targets)
-        losses.append(t.add(nll, t.matmul(moments, t.constant(
-            [[w.lambda_latency], [w.lambda_variance]]))))
-        parts.append((nll, moments))
+    penalty = t.delay_moments(alpha, ideal, [
+        [w.lambda_latency, w.lambda_variance] for w in settings])
+    nll = t.cross_entropy(t.readout(beta, params, states.v, len(heads),
+                                    w_out_slot, b_out_slot), targets)
+    loss = t.add(nll, penalty)
 
     gradient = [None] * n_settings
     if with_gradient:
-        total = losses[0]
-        for loss in losses[1:]:
-            total = t.add(total, loss)
-        gradient = t.backward(total)[params.index]
+        gradient = t.backward(t.sum(loss))[params.index]
+    moments, delays = penalty.saved
     results = tuple(
-        ObjectiveResult(
-            loss=loss.item(),
-            nll=nll.item(),
-            latency=float(moments.value[0, 0]),
-            variance=float(moments.value[0, 1]),
-            delay_mean=float(moments.saved[0].mean()),
-            gradient=g,
-        )
-        for loss, (nll, moments), g in zip(losses, parts, gradient))
+        ObjectiveResult(float(total), float(nll_r), float(latency),
+                        float(variance), float(d.mean()), g)
+        for total, nll_r, (latency, variance), d, g in zip(
+            loss.value[:, 0], nll.value[:, 0], moments, delays, gradient))
     return results if lockstep else results[0]

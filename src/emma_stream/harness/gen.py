@@ -24,6 +24,8 @@ def generate_corpus(n_instances: int, length: int, chunk_ms: float,
         raise ValueError(f"chunk_ms must be positive and finite, got {chunk_ms}")
     if vocab < 1:
         raise ValueError("vocab must be positive")
+    if seed < 0:
+        raise ValueError("seed must be at least 0")
     rng = np.random.default_rng(seed)
     corpus = []
     for i in range(n_instances):

@@ -150,7 +150,9 @@ def lookback_adjoint(alpha: np.ndarray, e: np.ndarray, r: np.ndarray,
 def delay_moments(alpha: np.ndarray):
     """``(d, v)`` per row of ``alpha``: the expected source position
     d = sum_j j alpha[j] and its spread v = sum_j j^2 alpha[j] - d^2, with
-    positions j counted from 1."""
-    positions = np.arange(1.0, alpha.shape[1] + 1.0)
+    positions j counted from 1. Stacked alignments (R x rows x |x|) go
+    through as one batched product, which gives each block's rows bit for
+    bit as its own call would."""
+    positions = np.arange(1.0, alpha.shape[-1] + 1.0)
     d = alpha @ positions
     return d, alpha @ (positions * positions) - d * d

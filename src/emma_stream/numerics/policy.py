@@ -49,9 +49,12 @@ Layers = Sequence[tuple[np.ndarray, np.ndarray]]  # (W_k, b_k) per layer
 
 
 def view(theta: np.ndarray, slot: Slot) -> np.ndarray:
-    """The rows x cols matrix stored at ``offset`` of the 1-D ``theta``."""
+    """The rows x cols matrix stored at ``offset`` of the last axis of
+    ``theta``: one matrix of a 1-D theta, a stack of them along its
+    leading axes otherwise."""
     offset, rows, cols = slot
-    return theta[offset:offset + rows * cols].reshape(rows, cols)
+    return theta[..., offset:offset + rows * cols].reshape(
+        theta.shape[:-1] + (rows, cols))
 
 
 class HeadSlots(NamedTuple):
@@ -81,15 +84,8 @@ class HeadSlots(NamedTuple):
             theta.shape[:-1] + (len(self.temperature), self.stride))
 
 
-def _stacked(block: np.ndarray, slot: Slot) -> np.ndarray:
-    """[R x] H x rows x cols view of every head's copy of ``slot``."""
-    offset, rows, cols = slot
-    return block[..., offset:offset + rows * cols].reshape(
-        block.shape[:-1] + (rows, cols))
-
-
 def _layers(block: np.ndarray, slots) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(_stacked(block, w), _stacked(block, b)) for w, b in slots]
+    return [(view(block, w), view(block, b)) for w, b in slots]
 
 
 # -- forwards, one head or H stacked heads -----------------------------------
@@ -153,7 +149,7 @@ def heads_stepwise(theta: np.ndarray, s: np.ndarray, h: np.ndarray,
     block = heads.block(theta)
     layers_s, layers_h = _layers(block, heads.ffn_s), _layers(block, heads.ffn_h)
     p, acts_s, acts_h = stepwise_forward(s, h, layers_s, layers_h,
-                                         _stacked(block, heads.bias),
+                                         view(block, heads.bias),
                                          _temperatures(heads))
     return p.reshape(-1, p.shape[-1]), (layers_s, layers_h, acts_s, acts_h)
 
@@ -166,13 +162,13 @@ def heads_stepwise_adjoint(theta: np.ndarray, p: np.ndarray, saved,
     block = heads.block(out)
     p = p.reshape(block.shape[:-1] + (-1, p.shape[1]))
     d = grad.reshape(p.shape) * p * (1.0 - p) / _temperatures(heads)
-    _stacked(block, heads.bias)[...] = d.sum(axis=(-2, -1), keepdims=True)
+    view(block, heads.bias)[...] = d.sum(axis=(-2, -1), keepdims=True)
     for slots, layers, acts, g in (
             (heads.ffn_s, layers_s, acts_s, d @ acts_h[-1]),
             (heads.ffn_h, layers_h, acts_h, _t(d) @ acts_s[-1])):
         for (w, b), (dw, db) in zip(slots, _ffn_adjoint(acts, layers, g)):
-            _stacked(block, w)[...] = dw
-            _stacked(block, b)[...] = db
+            view(block, w)[...] = dw
+            view(block, b)[...] = db
     return out
 
 
@@ -181,8 +177,8 @@ def heads_energies(theta: np.ndarray, s: np.ndarray, h: np.ndarray,
     """Row-stacked [R] H |y| x |x| attention energies of the heads in
     ``theta``, and their query and key rows."""
     block = heads.block(theta)
-    e, q, k = energies_forward(s, h, _stacked(block, heads.w_q),
-                               _stacked(block, heads.w_k))
+    e, q, k = energies_forward(s, h, view(block, heads.w_q),
+                               view(block, heads.w_k))
     return e.reshape(-1, e.shape[-1]), (q, k)
 
 
@@ -199,6 +195,6 @@ def heads_energies_adjoint(theta: np.ndarray, e: np.ndarray, qk, s: np.ndarray,
     block = heads.block(out)
     d = (grad * e).reshape(block.shape[:-1] + (-1, e.shape[1])) \
         / np.sqrt(heads.w_q[2])
-    _stacked(block, heads.w_q)[...] = s.T @ (d @ k)
-    _stacked(block, heads.w_k)[...] = h.T @ (_t(d) @ q)
+    view(block, heads.w_q)[...] = s.T @ (d @ k)
+    view(block, heads.w_k)[...] = h.T @ (_t(d) @ q)
     return out

@@ -8,14 +8,15 @@ sorted and :meth:`Tape.backward` is a single reverse sweep.  Values are
 shapes must match exactly.  An op whose adjoint reads forward
 intermediates keeps them in ``Node.saved``.  The policy-head ops
 :meth:`Tape.stepwise` and :meth:`Tape.energies` read every head's
-parameters from one parameter leaf, and :meth:`Tape.affine` reads its
+parameters from one parameter leaf, and :meth:`Tape.readout` reads its
 weights from it too.  The leaf is one flat 1 x n parameter row, or R such
-rows of one layout, whose R x H heads the policy-head ops read in one go.
-Several heads travel as one node, stacked by row, and :meth:`Tape.rows`
-takes one block of rows back out.
+rows of one layout: their R x H heads travel as one node, stacked by row,
+and the tail ops give one output row per block of rows, each bit for bit
+a one-row leaf's (numpy's batched products do that; one tall product over
+all blocks rounds differently).
 
 The primitives are the ones the objective records, plus ``mul`` and
-``sum``, which reduce a node to a scalar in the adjoint tests.
+``matmul``, which the adjoint tests combine with them.
 Element-wise ``sigmoid``, ``tanh``, ``exp``, ``log`` and ``row_softmax``
 are not tape ops: the fused ops evaluate them inside their own forwards
 and adjoints.
@@ -84,14 +85,13 @@ _FORWARD: dict[str, Callable] = {
     "mul": lambda vs, m: vs[0] * vs[1],
     "matmul": lambda vs, m: vs[0] @ vs[1],
     "sum": lambda vs, m: np.array([[vs[0].sum()]]),
-    "rows": lambda vs, m: vs[0][m[0]:m[1]],
     "monotonic_alignment": lambda vs, m: _alignment(vs[0], *m),
     "lookback_attention": lambda vs, m: monotonic.lookback_forward(*vs),
     "stepwise": lambda vs, m: policy.heads_stepwise(vs[0], *m),
     "energies": lambda vs, m: policy.heads_energies(vs[0], *m),
-    "affine": lambda vs, m: vs[0] @ _slot(vs[1], m[0]) + _slot(vs[1], m[1]),
+    "readout": lambda vs, m: _readout(*vs, *m),
     "cross_entropy": lambda vs, m: _cross_entropy(vs[0], m[0]),
-    "delay_moments": lambda vs, m: _delay_moments(vs[0], m[0]),
+    "delay_moments": lambda vs, m: _delay_moments(vs[0], *m),
 }
 
 
@@ -102,21 +102,30 @@ def _alignment(p: np.ndarray, force_last_column: bool, n_heads: int):
     return (alpha.reshape(-1, alpha.shape[2]), *saved)
 
 
-def _slot(theta: np.ndarray, slot) -> np.ndarray:
-    """The matrix at ``slot`` of the parameter leaf ``theta``, flattened."""
-    return policy.view(theta.reshape(-1), slot)
+def _delay_moments(alpha: np.ndarray, ideal: np.ndarray, weights: np.ndarray):
+    """Per block r of rows of ``alpha``: its moments [mean(d - ideal),
+    mean(v)] times ``weights[r]``, R x 1; and the R x 2 moments and the
+    delays d, one row of them per block."""
+    d, v = monotonic.delay_moments(alpha.reshape(len(weights), -1, alpha.shape[1]))
+    n = d.shape[1]
+    lat = (d.reshape(len(weights), -1, ideal.size) - ideal).sum(axis=(1, 2)) / n
+    moments = np.stack([lat, v.sum(axis=1) / n], axis=1)
+    return (moments[:, None] @ weights[:, :, None]).reshape(-1, 1), moments, d
 
 
-def _delay_moments(alpha: np.ndarray, ideal: np.ndarray):
-    """1 x 2 [mean(d - ideal), mean(v)] over the rows of ``alpha``, ``ideal``
-    repeated per block of rows; and the delays d."""
-    d, v = monotonic.delay_moments(alpha)
-    lat = (d.reshape(-1, ideal.size) - ideal).sum() / d.size
-    return np.array([[lat, v.sum() / v.size]]), d
+def _readout(beta: np.ndarray, theta: np.ndarray, v: np.ndarray,
+             head_mean: np.ndarray, w_slot, b_slot):
+    """Logits of every block r of rows of ``beta``: head_mean @ (beta_r @ v)
+    @ W_r + b_r, W_r and b_r read from row r of ``theta``; and the R stacked
+    head means."""
+    x = head_mean @ (beta.reshape(len(theta), -1, beta.shape[1]) @ v)
+    logits = x @ policy.view(theta, w_slot) + policy.view(theta, b_slot)
+    return logits.reshape(-1, logits.shape[2]), x
 
 
 def _cross_entropy(logits: np.ndarray, targets: np.ndarray):
-    """-sum_i log softmax(logits)[i, targets[i]] as 1 x 1, and the softmax.
+    """Per block of len(targets) rows, -sum_i log softmax(logits)[i,
+    targets[i]], R x 1; and the softmax.
 
     Summed over the one-hot mask of the targets, the order in which the
     composed graph summed: its round-off in the value is what the central
@@ -126,8 +135,9 @@ def _cross_entropy(logits: np.ndarray, targets: np.ndarray):
     if np.any(softmax <= 0.0):
         raise DomainError("cross_entropy: softmax underflowed to zero")
     onehot = np.zeros_like(logits)
-    onehot[np.arange(len(targets)), targets] = 1.0
-    return np.array([[-(onehot * np.log(softmax)).sum()]]), softmax
+    onehot[np.arange(len(logits)), np.resize(targets, len(logits))] = 1.0
+    return -(onehot * np.log(softmax)).reshape(
+        -1, targets.size * logits.shape[1]).sum(axis=1, keepdims=True), softmax
 
 
 def _alignment_adjoint(ps, qs, grad: np.ndarray, force_last_column: bool):
@@ -137,32 +147,33 @@ def _alignment_adjoint(ps, qs, grad: np.ndarray, force_last_column: bool):
     return (p_adj.reshape(grad.shape),)
 
 
-def _affine_adjoint(x: np.ndarray, theta: np.ndarray, grad: np.ndarray, slots):
-    w_slot, b_slot = slots
+def _readout_adjoint(theta: np.ndarray, v: np.ndarray, head_mean: np.ndarray,
+                     w_slot, b_slot, x: np.ndarray, grad: np.ndarray):
+    g = grad.reshape(x.shape[:2] + (-1,))
     theta_adj = np.zeros_like(theta)
-    _slot(theta_adj, w_slot)[...] = x.T @ grad
-    _slot(theta_adj, b_slot)[...] = grad.sum(axis=0, keepdims=True)
-    return grad @ _slot(theta, w_slot).T, theta_adj
+    policy.view(theta_adj, w_slot)[...] = np.swapaxes(x, 1, 2) @ g
+    policy.view(theta_adj, b_slot)[...] = g.sum(axis=1, keepdims=True)
+    x_adj = g @ np.swapaxes(policy.view(theta, w_slot), 1, 2)
+    beta_adj = (head_mean.T @ x_adj) @ v.T
+    return beta_adj.reshape(-1, beta_adj.shape[2]), theta_adj
 
 
-def _delay_moments_adjoint(alpha: np.ndarray, d: np.ndarray, grad: np.ndarray):
+def _delay_moments_adjoint(alpha: np.ndarray, weights: np.ndarray,
+                           d: np.ndarray, grad: np.ndarray):
     """d lat / d alpha[i, j] = j / n, d var / d alpha[i, j] = (j^2 - 2 d_i j) / n
-    for n rows."""
+    for n rows per block, each block's pair weighted by its grad times its
+    ``weights`` row."""
     j = np.arange(1.0, alpha.shape[1] + 1.0)
-    g_lat, g_var = grad[0] / alpha.shape[0]
-    return (g_lat * j + g_var * (j * j - 2.0 * np.outer(d, j)),)
+    g_lat, g_var = ((grad * weights) / d.shape[1]).T[..., None, None]
+    out = g_lat * j + g_var * (j * j - 2.0 * (d[..., None] * j))
+    return (out.reshape(alpha.shape),)
 
 
 def _cross_entropy_adjoint(softmax: np.ndarray, grad: np.ndarray, targets):
-    out = softmax * grad[0, 0]
-    out[np.arange(len(targets)), targets] -= grad[0, 0]
+    g = np.repeat(grad, len(targets), axis=0)  # each block's grad, per row
+    out = softmax * g
+    out[np.arange(len(out)), np.resize(targets, len(out))] -= g[:, 0]
     return out
-
-
-def _rows_adjoint(x: np.ndarray, grad: np.ndarray, start: int, stop: int):
-    out = np.zeros_like(x)
-    out[start:stop] = grad
-    return (out,)
 
 
 # Adjoint rules: (node value, upstream grad, parent values, meta, saved)
@@ -172,7 +183,6 @@ _BACKWARD: dict[str, Callable] = {
     "mul": lambda y, g, vs, m, s: (g * vs[1], g * vs[0]),
     "matmul": lambda y, g, vs, m, s: (g @ vs[1].T, vs[0].T @ g),
     "sum": lambda y, g, vs, m, s: (np.full_like(vs[0], g[0, 0]),),
-    "rows": lambda y, g, vs, m, s: _rows_adjoint(vs[0], g, *m),
     "monotonic_alignment": lambda y, g, vs, m, s:
         _alignment_adjoint(*s, g, m[0]),
     "lookback_attention": lambda y, g, vs, m, s:
@@ -181,9 +191,10 @@ _BACKWARD: dict[str, Callable] = {
         vs[0], y, s[0], m[2], g),),
     "energies": lambda y, g, vs, m, s: (policy.heads_energies_adjoint(
         vs[0], y, s[0], *m, g),),
-    "affine": lambda y, g, vs, m, s: _affine_adjoint(vs[0], vs[1], g, m),
+    "readout": lambda y, g, vs, m, s: _readout_adjoint(vs[1], *m, s[0], g),
     "cross_entropy": lambda y, g, vs, m, s: (_cross_entropy_adjoint(s[0], g, m[0]),),
-    "delay_moments": lambda y, g, vs, m, s: _delay_moments_adjoint(vs[0], s[0], g),
+    "delay_moments": lambda y, g, vs, m, s:
+        _delay_moments_adjoint(vs[0], m[1], s[1], g),
 }
 
 
@@ -257,16 +268,6 @@ class Tape:
         """Total sum as a 1x1 matrix."""
         return self._record("sum", (a,))
 
-    def rows(self, x: Node, start: int, stop: int) -> Node:
-        """Rows ``start:stop`` of ``x``; the adjoint pads with zero rows.
-        All of ``x`` is ``x`` itself, and records nothing."""
-        n = x.value.shape[0]
-        if not 0 <= start < stop <= n:
-            raise ShapeError(f"rows: {start}:{stop} is not a block of {n} rows")
-        if (start, stop) == (0, n):
-            return x
-        return self._record("rows", (x,), (start, stop))
-
     def monotonic_alignment(self, p: Node, force_last_column: bool = False,
                             heads: int = 1) -> Node:
         """Expected monotonic alignment of the stepwise probabilities ``p``,
@@ -308,40 +309,55 @@ class Tape:
         return self._record("energies", (theta,),
                             _policy_meta("energies", theta, s, h, heads))
 
-    def affine(self, x: Node, theta: Node, w_slot: tuple[int, int, int],
-               b_slot: tuple[int, int, int]) -> Node:
-        """``x @ W + b`` with W and the 1 x n row b read from ``theta``,
-        flattened row by row, at ``(offset, rows, cols)`` slots."""
-        n = theta.value.size
+    def delay_moments(self, alpha: Node, ideal, weights) -> Node:
+        """R x 1: per block r of rows of ``alpha``, one per row of the R x 2
+        ``weights``, its moments [mean(d - ideal), mean(v)] @ weights[r].
+        Row i has expected source position d_i = sum_j j alpha[i, j] and
+        spread v_i = sum_j j^2 alpha[i, j] - d_i^2 (positions j from 1);
+        ``ideal`` holds one target delay per row of a head. The R x 2
+        moments and the R blocks' delays d are in ``Node.saved``."""
+        ideal = _freeze(np.array(ideal, dtype=np.float64).ravel())
+        weights = _freeze(mx.as_matrix(weights).copy())
+        n_rows = alpha.value.shape[0]
+        if weights.shape[1] != 2 or ideal.size == 0 \
+                or n_rows % (len(weights) * ideal.size):
+            raise ShapeError(f"delay_moments: weights {weights.shape} and "
+                             f"{ideal.size} ideal delays do not fit {n_rows} rows")
+        return self._record("delay_moments", (alpha,), (ideal, weights))
+
+    def readout(self, beta: Node, theta: Node, v, heads: int,
+                w_slot: policy.Slot, b_slot: policy.Slot) -> Node:
+        """Logits stacked by block r of rows of ``beta``, one per row of
+        ``theta``: the mean over its ``heads`` heads of beta_r @ v, for the
+        constant ``v``, times W_r plus the row b_r, read from row r of
+        ``theta`` at ``(offset, rows, cols)`` slots."""
+        v = _freeze(mx.as_matrix(v).copy())
+        n_blocks, n = theta.value.shape
+        n_rows = beta.value.shape[0]
         (w_off, rows, cols), (b_off, b_rows, b_cols) = w_slot, b_slot
-        if x.value.shape[1] != rows \
+        if heads < 1 or n_rows % (n_blocks * heads) \
+                or beta.value.shape[1] != v.shape[0] or v.shape[1] != rows \
                 or (b_rows, b_cols) != (1, cols) or min(w_off, b_off) < 0 \
                 or max(w_off + rows * cols, b_off + cols) > n:
-            raise ShapeError(f"affine: slots {w_slot}, {b_slot} do not fit "
-                             f"x {x.value.shape} and theta {theta.value.shape}")
-        return self._record("affine", (x, theta), (w_slot, b_slot))
-
-    def delay_moments(self, alpha: Node, ideal) -> Node:
-        """The latency and variance regularizers of row-stacked alignments,
-        as one 1 x 2 node [mean(d - ideal), mean(v)]. Row i has expected
-        source position d_i = sum_j j alpha[i, j] and spread
-        v_i = sum_j j^2 alpha[i, j] - d_i^2 (positions j from 1); ``ideal``
-        holds one target delay per row of a head and repeats per head. The
-        delays d are in ``Node.saved[0]``."""
-        ideal = _freeze(np.array(ideal, dtype=np.float64).ravel())
-        if ideal.size == 0 or alpha.value.shape[0] % ideal.size:
-            raise ShapeError(f"delay_moments: {ideal.size} ideal delays do not "
-                             f"divide {alpha.value.shape[0]} rows")
-        return self._record("delay_moments", (alpha,), (ideal,))
+            raise ShapeError(f"readout: slots {w_slot}, {b_slot} and values "
+                             f"{v.shape} do not fit {heads} heads of beta "
+                             f"{beta.value.shape} and theta {theta.value.shape}")
+        n_target = n_rows // (n_blocks * heads)
+        # the head average [I ... I] / H of one block's rows, as one matmul
+        head_mean = _freeze((np.arange(n_target * heads) % n_target
+                             == np.arange(n_target)[:, None]) / heads)
+        return self._record("readout", (beta, theta),
+                            (v, head_mean, w_slot, b_slot))
 
     def cross_entropy(self, logits: Node, targets) -> Node:
-        """-sum_i log softmax(logits)[i, targets[i]], the summed negative
-        log-likelihood of one target index per row, as a 1 x 1 node."""
+        """R x 1: per block of len(targets) rows, the summed negative
+        log-likelihood -sum_i log softmax(logits)[i, targets[i]]."""
         targets = np.array(targets, dtype=np.intp).ravel()
         rows, cols = logits.value.shape
-        if targets.size != rows or targets.min() < 0 or targets.max() >= cols:
-            raise ValueError(
-                f"cross_entropy: need {rows} targets in [0, {cols}), got {targets}")
+        if targets.size == 0 or rows % targets.size or targets.min() < 0 \
+                or targets.max() >= cols:
+            raise ValueError(f"cross_entropy: need blocks of targets in "
+                             f"[0, {cols}) dividing {rows} rows, got {targets}")
         return self._record("cross_entropy", (logits,), (targets,))
 
     # -- backward and replay ------------------------------------------------

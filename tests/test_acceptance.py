@@ -13,8 +13,7 @@ from emma_stream.emma import (LossWeights, alignment_parallel,
                               alignment_recursive, alignment_variance,
                               beta_parallel, beta_recursive, emma_objective,
                               expected_delays, pack_parameters,
-                              random_head, random_readout, random_states,
-                              unpack_parameters)
+                              random_head, random_readout, random_states)
 from emma_stream.harness import (Manifest, evaluate_corpus, generate_corpus,
                                  render_report, threshold_sweep, write_corpus)
 from emma_stream.harness.models import model_factory
@@ -152,7 +151,7 @@ def sized_instance(seed, n_source, n_target, d=8, d_k=4, d_v=3, n_heads=2,
     return heads, states, targets, readout, rng
 
 
-@pytest.mark.parametrize("n_source,n_target", [(6, 4), (64, 16)])
+@pytest.mark.parametrize("n_source,n_target", [(6, 4), (64, 16), (512, 128)])
 @pytest.mark.parametrize("force_last_column", [False, True])
 def test_4b_gradient_directional_on_unscreened_seeds(n_source, n_target,
                                                      force_last_column):
@@ -170,10 +169,9 @@ def test_4b_gradient_directional_on_unscreened_seeds(n_source, n_target,
                                   force_last_column=force_last_column).gradient
 
         def f(t):
-            h, r = unpack_parameters(t, heads, readout)
-            return emma_objective(h, states, targets, weights, r,
+            return emma_objective(heads, states, targets, weights, readout,
                                   force_last_column=force_last_column,
-                                  with_gradient=False).loss
+                                  with_gradient=False, theta=t).loss
 
         for _ in range(3):
             d = rng.standard_normal(theta.size)

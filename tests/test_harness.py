@@ -1122,6 +1122,13 @@ def test_cli_train_toy_negative_seed_exits_2_naming_seed(capsys):
     assert err == "error: seed must be at least 0\n"
 
 
+def test_cli_gen_negative_seed_exits_2_naming_seed(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    assert main(["gen", "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be at least 0\n"
+    assert not out.exists()
+
+
 def test_cli_negative_seed_override_exits_2_naming_seed(tmp_path, capsys):
     mpath = cli_manifest(tmp_path)
     assert main(["sweep", "--manifest", str(mpath), "--seed", "-3"]) == 2

@@ -110,7 +110,8 @@ def test_adjoints_match_central_differences(shape, force):
 
     for analytic, loss, x in ((align_p, align_loss, p), (beta_p, beta_loss_p, p),
                               (beta_e, beta_loss_e, e)):
-        central = central_difference_gradient(loss, x, h=H).reshape(shape)
+        central = central_difference_gradient(
+            lambda probes: [loss(th) for th in probes], x, h=H).reshape(shape)
         assert np.allclose(analytic, central, rtol=1e-6, atol=1e-8)
     if force:
         assert np.all(align_p[:, -1] == 0.0)
@@ -177,7 +178,8 @@ def test_two_head_adjoints_match_central_differences(shape, force):
     t, leaves, out = record(theta)
     grads = t.backward(out)
     analytic = np.concatenate([grads[leaf.index].ravel() for leaf in leaves])
-    central = central_difference_gradient(lambda th: record(th)[2].item(), theta, h=H)
+    central = central_difference_gradient(
+        lambda probes: [record(th)[2].item() for th in probes], theta, h=H)
     assert np.allclose(analytic, central, rtol=1e-6, atol=1e-8)
     if force:
         assert np.all(grads[leaves[0].index][:, -1] == 0.0)

@@ -138,12 +138,15 @@ def test_objective_equals_numpy_route(seed, force):
     assert abs(res.loss - (nll + 0.7 * latency + 0.3 * variance)) <= 1e-12
 
 
-def objective_value_fn(heads, states, targets, weights, readout):
-    def f(theta):
-        new_heads, new_readout = unpack_parameters(theta, heads, readout)
-        res = emma_objective(new_heads, states, targets, weights, new_readout,
-                             with_gradient=False)
-        return res.loss
+def objective_value_fn(heads, states, targets, weights, readout,
+                       force_last_column=False):
+    """The losses at a matrix of parameter probes, as one lockstep call with
+    one setting per probe row; each loss is bit for bit its row's own call."""
+    def f(probes):
+        return [res.loss for res in emma_objective(
+            heads, states, targets, (weights,) * len(probes), readout,
+            force_last_column=force_last_column, with_gradient=False,
+            theta=probes)]
     return f
 
 
@@ -169,12 +172,8 @@ def test_gradient_of_forced_variant_matches():
     theta = pack_parameters(heads, readout)
     res = emma_objective(heads, states, targets, weights, readout,
                          force_last_column=True)
-
-    def f(theta_):
-        new_heads, new_readout = unpack_parameters(theta_, heads, readout)
-        return emma_objective(new_heads, states, targets, weights, new_readout,
-                              force_last_column=True, with_gradient=False).loss
-
+    f = objective_value_fn(heads, states, targets, weights, readout,
+                           force_last_column=True)
     assert finite_diff_check(f, lambda _: res.gradient, theta, h=1e-5) <= 1e-5
 
 
@@ -281,8 +280,9 @@ def test_lockstep_settings_equal_their_single_calls(monkeypatch, n_settings,
                 assert np.array_equal(res.gradient, one.gradient)
             else:
                 assert res.gradient is None and one.gradient is None
-        if n_settings == 1:
-            assert len(batched) == 15 == len(tapes[-1])
+        # one node per op at any R: the same count as each single call, and
+        # the backward's sum only when a gradient is taken
+        assert len(batched) == 9 + with_gradient == len(tapes[-1])
         batched.replay()
 
 

@@ -31,11 +31,13 @@ def head_problem(depth, n_heads, seed, n_source=5, n_target=4, d=4, d_k=3):
 
 
 def check_against_central_differences(record, theta):
-    """``record(theta) -> (tape, theta leaf, scalar node)``."""
-    t, leaf, out = record(theta)
-    analytic = t.backward(out)[leaf.index].ravel()
-    central = central_difference_gradient(lambda th: record(th)[2].item(),
-                                          theta, h=H)
+    """``record(theta) -> (tape, leaves, scalar node)``, the leaves holding
+    the entries of ``theta`` in order."""
+    t, leaves, out = record(theta)
+    grads = t.backward(out)
+    analytic = np.concatenate([grads[leaf.index].ravel() for leaf in leaves])
+    central = central_difference_gradient(
+        lambda probes: [record(th)[2].item() for th in probes], theta, h=H)
     assert np.allclose(analytic, central, rtol=1e-6, atol=1e-8)
 
 
@@ -51,7 +53,7 @@ def test_stepwise_adjoint_matches_central_differences(depth, n_heads, force):
         leaf = t.leaf(th)
         p = t.stepwise(leaf, states.s, states.h, slots)
         alpha = t.monotonic_alignment(p, force, heads=n_heads)
-        return t, leaf, t.sum(t.mul(alpha, t.constant(w)))
+        return t, (leaf,), t.sum(t.mul(alpha, t.constant(w)))
 
     check_against_central_differences(record, theta)
 
@@ -72,7 +74,7 @@ def test_energies_adjoint_matches_central_differences(depth, n_heads, force):
         leaf = t.leaf(th)
         alpha = t.monotonic_alignment(t.constant(p), force, heads=n_heads)
         beta = t.lookback_attention(alpha, t.energies(leaf, states.s, states.h, slots))
-        return t, leaf, t.sum(t.mul(beta, t.constant(w)))
+        return t, (leaf,), t.sum(t.mul(beta, t.constant(w)))
 
     check_against_central_differences(record, theta)
 
@@ -91,7 +93,7 @@ def test_fused_ops_on_parameter_rows_match_central_differences(n_heads):
         alpha = t.monotonic_alignment(
             t.stepwise(leaf, states.s, states.h, slots), heads=3 * n_heads)
         beta = t.lookback_attention(alpha, t.energies(leaf, states.s, states.h, slots))
-        return t, leaf, t.sum(t.mul(t.add(alpha, beta), t.constant(w)))
+        return t, (leaf,), t.sum(t.mul(t.add(alpha, beta), t.constant(w)))
 
     check_against_central_differences(record, theta.ravel())
 
@@ -110,48 +112,72 @@ def test_fused_forwards_are_the_per_head_formulas(n_heads):
         assert np.abs(e[rows] - attention_energies(head, states)).max() <= 1e-12
 
 
+def tail_problem(seed, n_blocks=3, heads=2, n_target=3, n_source=4):
+    """Parameter rows, alignments, values, targets, ideal delays and loss
+    weights of ``n_blocks`` settings whose ``heads`` heads are stacked by row."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n_blocks, 40)),
+            rng.uniform(0.02, 0.2, size=(n_blocks * heads * n_target, n_source)),
+            rng.standard_normal((n_source, 3)),
+            rng.integers(0, 5, size=n_target),
+            np.arange(n_target) * n_source / n_target,
+            rng.uniform(0.1, 1.0, size=(n_blocks, 2)), rng)
+
+
+# the readout's slots in a 40-entry parameter row: W 3 x 5, b 1 x 5
+W_SLOT, B_SLOT = (5, 3, 5), (30, 1, 5)
+
+
 def test_tail_op_adjoints_match_central_differences():
-    rng = np.random.default_rng(8)
-    theta = rng.standard_normal(40)
-    x = rng.standard_normal((6, 3))
-    targets = [2, 0, 4, 4, 1, 3]
-    ideal = np.array([0.0, 1.5])
-    # scales four logit rows down to the size of alignment rows
-    scale = rng.uniform(0.05, 0.2, size=(4, 5))
+    # three blocks, each of two heads, through every tail op; the blocks'
+    # losses are weighted unequally, so each block's own upstream gradient
+    # reaches its rows
+    params, alpha, v, targets, ideal, weights, rng = tail_problem(8)
+    out_w = rng.uniform(0.5, 2.0, size=(3, 1))
 
     def record(th):
         t = Tape()
-        leaf = t.leaf(th)
-        logits = t.affine(t.constant(x), leaf, (5, 3, 5), (30, 1, 5))
-        alpha = t.mul(t.rows(logits, 1, 5), t.constant(scale))
-        moments = t.delay_moments(alpha, ideal)
-        weights = t.constant([[0.7], [0.3]])
-        return t, leaf, t.add(t.cross_entropy(logits, targets),
-                              t.matmul(moments, weights))
+        p_leaf = t.leaf(th[:params.size].reshape(params.shape))
+        a_leaf = t.leaf(th[params.size:].reshape(alpha.shape))
+        logits = t.readout(a_leaf, p_leaf, v, 2, W_SLOT, B_SLOT)
+        loss = t.add(t.cross_entropy(logits, targets),
+                     t.delay_moments(a_leaf, ideal, weights))
+        return t, (p_leaf, a_leaf), t.sum(t.mul(loss, t.constant(out_w)))
 
-    check_against_central_differences(record, theta)
+    check_against_central_differences(
+        record, np.concatenate([params.ravel(), alpha.ravel()]))
 
 
 def test_tail_ops_values():
-    rng = np.random.default_rng(9)
+    # each block's output row is that block's own one-block value, bit for bit
+    params, alpha, v, targets, ideal, weights, _ = tail_problem(9)
     t = Tape()
-    theta = t.leaf(rng.standard_normal(20))
-    x = rng.standard_normal((3, 2))
-    out = t.affine(t.constant(x), theta, (4, 2, 3), (10, 1, 3))
-    w = theta.value[0, 4:10].reshape(2, 3)
-    assert np.array_equal(out.value, x @ w + theta.value[:, 10:13])
-    logits = rng.standard_normal((3, 4))
-    nll = t.cross_entropy(t.constant(logits), [1, 3, 0])
-    log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-    assert abs(nll.item() + log_probs[[0, 1, 2], [1, 3, 0]].sum()) <= 1e-12
-    alpha = rng.uniform(size=(4, 5)) / 5
-    moments = t.delay_moments(t.constant(alpha), [1.0, 2.0])
-    j = np.arange(1.0, 6.0)
-    d = alpha @ j
-    assert np.allclose(moments.value, [[np.mean(d - [1.0, 2.0, 1.0, 2.0]),
-                                        np.mean(alpha @ (j * j) - d * d)]],
-                       rtol=1e-14, atol=0.0)
-    assert np.array_equal(moments.saved[0], d)
+    theta, a = t.leaf(params), t.leaf(alpha)
+    logits = t.readout(a, theta, v, 2, W_SLOT, B_SLOT)
+    nll = t.cross_entropy(logits, targets)
+    penalty = t.delay_moments(a, ideal, weights)
+    j = np.arange(1.0, 5.0)
+    for r in range(3):
+        rows = alpha[6 * r:6 * r + 6]
+        w = params[r, 5:20].reshape(3, 5)
+        expected = (rows[:3] @ v + rows[3:] @ v) / 2 @ w + params[r, 30:35]
+        assert np.allclose(logits.value[3 * r:3 * r + 3], expected,
+                           rtol=1e-14, atol=1e-14)
+        log_probs = expected - np.log(np.exp(expected).sum(axis=1, keepdims=True))
+        assert abs(nll.value[r, 0] + log_probs[[0, 1, 2], targets].sum()) <= 1e-12
+        d = rows @ j
+        moments = [np.mean(d - np.tile(ideal, 2)), np.mean(rows @ (j * j) - d * d)]
+        assert np.allclose(penalty.saved[0][r], moments, rtol=1e-14, atol=0.0)
+        assert np.array_equal(penalty.saved[1][r], d)
+        assert abs(penalty.value[r, 0] - weights[r] @ moments) <= 1e-14
+
+        one = Tape()
+        one_logits = one.readout(one.leaf(rows), one.leaf(params[r]), v, 2,
+                                 W_SLOT, B_SLOT)
+        assert np.array_equal(one_logits.value, logits.value[3 * r:3 * r + 3])
+        assert one.cross_entropy(one_logits, targets).item() == nll.value[r, 0]
+        assert one.delay_moments(one.leaf(rows), ideal, weights[r]).item() \
+            == penalty.value[r, 0]
 
 
 def test_fused_ops_reject_bad_arguments():
@@ -162,16 +188,32 @@ def test_fused_ops_reject_bad_arguments():
         t.stepwise(t.leaf(theta[:10]), states.s, states.h, slots)
     with pytest.raises(ShapeError):
         t.energies(leaf, states.s, states.h[:, :2], slots)
-    with pytest.raises(ShapeError):
-        t.affine(t.constant(np.ones((2, 3))), leaf, (0, 4, 2), (8, 1, 2))
-    with pytest.raises(ShapeError):
-        t.affine(t.constant(np.ones((2, 3))), leaf, (theta.size - 2, 3, 2), (0, 1, 2))
-    with pytest.raises(ValueError):
-        t.cross_entropy(t.constant(np.zeros((2, 3))), [0, 3])
+    # the tail ops on two parameter rows, two heads of two target rows each
+    rows = t.leaf(np.stack([theta, theta]))
+    beta = t.constant(np.full((8, 3), 0.1))
+    v = np.ones((3, 2))
+    for bad_beta, bad_v, n_heads, w_slot, b_slot in (
+            (beta, v, 2, (0, 3, 2), (8, 1, 2)),  # W rows are not v's columns
+            (beta, v, 2, (theta.size - 2, 2, 2), (0, 1, 2)),  # W past the row
+            (beta, v, 2, (0, 2, 2), (8, 2, 2)),  # b is not one row
+            (beta, v, 3, (0, 2, 2), (8, 1, 2)),  # 3 heads do not divide 4 rows
+            (beta, v, 0, (0, 2, 2), (8, 1, 2)),
+            (beta, np.ones((4, 2)), 2, (0, 2, 2), (8, 1, 2)),  # v rows
+            (t.constant(np.ones((6, 3))), v, 2, (0, 2, 2), (8, 1, 2))):
+        with pytest.raises(ShapeError):
+            t.readout(bad_beta, rows, bad_v, n_heads, w_slot, b_slot)
+    for targets in ([0, 3], [0, 1, 2], []):  # out of range, not dividing
+        with pytest.raises(ValueError):
+            t.cross_entropy(t.constant(np.zeros((4, 3))), targets)
     with pytest.raises(DomainError):
-        t.cross_entropy(t.constant([[0.0, -800.0]]), [0])
-    with pytest.raises(ShapeError):
-        t.delay_moments(t.constant(np.ones((5, 3))), [0.0, 1.0])
+        t.cross_entropy(t.constant([[0.0, 1.0], [0.0, -800.0]]), [0])
+    alpha = t.constant(np.ones((8, 3)))
+    for ideal, weights in (([0.0, 1.0, 2.0], [[1.0, 0.0]] * 2),  # 3 per head
+                           ([0.0, 1.0], [[1.0, 0.0]] * 3),  # 3 blocks of 8 rows
+                           ([0.0, 1.0], [[1.0, 0.0, 0.0]] * 2),  # not pairs
+                           ([], [[1.0, 0.0]] * 2)):
+        with pytest.raises(ShapeError):
+            t.delay_moments(alpha, ideal, weights)
     with pytest.raises(ShapeError):
         t.monotonic_alignment(t.constant(np.full((5, 3), 0.5)), heads=2)
     with pytest.raises(ValueError, match="share one shape"):

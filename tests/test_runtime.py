@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from emma_stream.emma import alignment_parallel
 from emma_stream.runtime import (EOS_TOKEN, READ, WRITE, PrefixView,
                                  RuntimeConfig, SourceChunk, StreamInstance,
                                  decide, run_stream, scripted_probability_model,
@@ -217,6 +218,29 @@ def test_raising_threshold_never_lowers_delays():
             assert len(trace.delays) == len(prev)
             assert all(b >= a for a, b in zip(prev, trace.delays))
         prev = trace.delays
+
+
+def test_delays_are_the_forced_alignment_of_the_thresholded_surface():
+    # cross-layer oracle: the runtime is the forced monotonic alignment of
+    # its own hard decisions. Row i (written) and column j (consumed j + 1)
+    # write iff the copy mask allows it (i < j + 1) and every head clears
+    # t; the forced alignment of that 0/1 matrix is one-hot at each row's
+    # delay. Half the surfaces sit on a grid of tenths, so ties with t occur.
+    for seed in range(2000):
+        rng = np.random.default_rng(seed)
+        n, n_heads = int(rng.integers(1, 13)), int(rng.integers(1, 4))
+        if seed % 2:
+            table, t = rng.uniform(size=(n, n + 1, n_heads)), rng.uniform(0.01, 0.99)
+        else:
+            table = rng.integers(0, 11, size=(n, n + 1, n_heads)) / 10
+            t = int(rng.integers(1, 10)) / 10
+        trace = run_stream(
+            scripted_probability_model(lambda w, c: table[w, c].tolist()),
+            instance_of(n), RuntimeConfig(threshold=t))
+        i, j = np.indices((n, n))
+        p_hard = ((i < j + 1) & (table.min(axis=2)[:, 1:] >= t)).astype(float)
+        alpha = alignment_parallel(p_hard, force_last_column=True)
+        assert trace.delays == (alpha.argmax(axis=1) + 1.0).tolist(), seed
 
 
 class Generating:

@@ -9,7 +9,7 @@ import pytest
 
 from emma_stream.emma.params import (pack_parameters, parameter_slots,
                                      random_head, random_readout, random_states)
-from emma_stream.errors import DomainError, ShapeError
+from emma_stream.errors import DomainError
 from emma_stream.numerics import Tape, central_difference_gradient, finite_diff_check
 
 FD_TOL = 1e-5
@@ -17,12 +17,16 @@ H = 1e-5
 
 
 def tape_grad(build, x):
-    """Gradient of scalar build(tape, leaf) with respect to the flat leaf entries."""
+    """Batched values and gradient of scalar build(tape, leaf) with respect
+    to the flat leaf entries."""
 
-    def run(theta):
-        t = Tape()
-        leaf = t.leaf(theta.reshape(x.shape))
-        return build(t, leaf).item()
+    def run(probes):
+        values = []
+        for theta in probes:
+            t = Tape()
+            leaf = t.leaf(theta.reshape(x.shape))
+            values.append(build(t, leaf).item())
+        return values
 
     def grad(theta):
         t = Tape()
@@ -51,8 +55,8 @@ def test_square_gradient():
 
 
 def test_constant_function_has_zero_error():
-    def run(theta):
-        return 7.0
+    def run(probes):
+        return np.full(len(probes), 7.0)
 
     def grad(theta):
         return np.zeros_like(theta)
@@ -61,8 +65,8 @@ def test_constant_function_has_zero_error():
 
 
 def test_quadratic_fd_error_tiny():
-    def run(theta):
-        return float(theta[0] ** 2)
+    def run(probes):
+        return probes[:, 0] ** 2
 
     def grad(theta):
         return np.array([2.0 * theta[0]])
@@ -71,14 +75,33 @@ def test_quadratic_fd_error_tiny():
 
 
 def test_nonfinite_probe_raises():
-    def run(theta):
-        return float("nan")
+    def run(probes):
+        return np.where(probes[:, 1] > 2.0, np.nan, 1.0)
 
-    with pytest.raises(DomainError):
-        central_difference_gradient(run, np.array([1.0]), h=H)
+    with pytest.raises(DomainError, match="coordinate 1"):
+        central_difference_gradient(run, np.array([1.0, 2.0]), h=H)
+    with pytest.raises(ValueError, match="values for 4 probes"):
+        central_difference_gradient(lambda probes: [1.0], np.array([1.0, 2.0]), h=H)
 
 
-UNARY_CASES = ["sum", "rows"]
+def test_probes_move_one_coordinate_each():
+    theta = np.array([0.3, -1.2, 5.0])
+    seen = []
+
+    def run(probes):
+        seen.append(probes.copy())
+        return probes @ [1.0, 2.0, 3.0]
+
+    central_difference_gradient(run, theta, h=0.25)
+    (probes,) = seen
+    for k in range(3):
+        for row, step in ((2 * k, 0.25), (2 * k + 1, -0.25)):
+            expected = theta.copy()
+            expected[k] = theta[k] + step
+            assert np.array_equal(probes[row], expected)
+
+
+UNARY_CASES = ["sum"]
 
 
 def stable_seed(case):
@@ -88,10 +111,8 @@ def stable_seed(case):
 
 def check_unary_case(case, seed):
     rng = np.random.default_rng(seed)
-    w = rng.uniform(-2.0, 2.0, size=(4, 5))
     builders = {
         "sum": lambda t, a: t.mul(t.sum(a), t.constant([[0.3]])),
-        "rows": lambda t, a: weighted(t, t.rows(a, 1, 3), w[1:3]),
     }
     for trial in range(20):
         rng_x = np.random.default_rng([seed, trial])
@@ -125,10 +146,8 @@ def test_binary_primitives_match_finite_differences(case):
         def split(theta):
             return theta[:12].reshape(a_shape), theta[12:].reshape(b_shape)
 
-        def run(theta):
-            t = Tape()
-            _, _, out = build(t, *split(theta))
-            return out.item()
+        def run(probes):
+            return [build(Tape(), *split(theta))[2].item() for theta in probes]
 
         def grad(theta):
             t = Tape()
@@ -170,7 +189,7 @@ def test_replay_reproduces_values():
     forced = t.monotonic_alignment(p, force_last_column=True, heads=2)
     beta = t.lookback_attention(t.add(alpha, forced), t.mul(a, b))
     v = t.constant(rng.normal(size=(4, 3)))
-    d = t.sum(t.rows(t.matmul(beta, v), 2, 5))
+    d = t.sum(t.matmul(beta, v))
     assert np.isfinite(d.item())
     # the fused policy-head ops and the objective's tail ops, on a leaf of
     # two parameter rows: four heads, two per row
@@ -183,26 +202,12 @@ def test_replay_reproduces_values():
     p_all = t.stepwise(theta, states.s, states.h, slots)
     alpha_all = t.monotonic_alignment(p_all, heads=4)
     beta_all = t.lookback_attention(alpha_all, t.energies(theta, states.s, states.h, slots))
-    second = (w_out[0] + packed.size,) + w_out[1:], (b_out[0] + packed.size,) + b_out[1:]
-    logits = t.affine(t.matmul(t.rows(beta_all, 6, 12), t.constant(states.v)),
-                      theta, *second)
-    loss = t.add(t.cross_entropy(logits, [0, 2, 1, 1, 0, 2]),
-                 t.sum(t.delay_moments(alpha_all, [0.0, 1.5, 3.0])))
+    logits = t.readout(beta_all, theta, states.v, 2, w_out, b_out)
+    loss = t.sum(t.add(t.cross_entropy(logits, [0, 2, 1]),
+                       t.delay_moments(alpha_all, [0.0, 1.5, 3.0],
+                                       [[0.5, 0.2], [1.0, 0.0]])))
     assert np.isfinite(loss.item())
     t.replay()  # raises on any bit-level mismatch
-
-
-def test_rows_slices_and_pads_with_zeros():
-    t = Tape()
-    x = t.leaf(np.arange(12.0).reshape(4, 3))
-    assert t.rows(x, 0, 4) is x and len(t) == 1  # all rows: nothing recorded
-    middle = t.rows(x, 1, 3)
-    assert np.array_equal(middle.value, x.value[1:3])
-    grads = t.backward(t.sum(t.mul(middle, t.constant(np.full((2, 3), 2.0)))))
-    assert np.array_equal(grads[x.index], [[0.0] * 3, [2.0] * 3, [2.0] * 3, [0.0] * 3])
-    for start, stop in ((2, 2), (3, 1), (-1, 2), (0, 5)):
-        with pytest.raises(ShapeError):
-            t.rows(x, start, stop)
 
 
 def test_backward_gradients_are_read_only():
