@@ -30,8 +30,16 @@ def _comma_floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error as one ``error: <message>`` line and exits 2;
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="emma-stream",
         description="Streaming-translation policy evaluation harness.")
     sub = parser.add_subparsers(dest="command", required=True)

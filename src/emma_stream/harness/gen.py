@@ -10,6 +10,8 @@ import numpy as np
 
 __all__ = ["generate_corpus", "write_corpus"]
 
+_INT64_MAX = 2**63 - 1  # numpy draws the payloads as int64
+
 
 def generate_corpus(n_instances: int, length: int, chunk_ms: float,
                     vocab: int = 100, seed: int = 0) -> list[dict]:
@@ -24,6 +26,8 @@ def generate_corpus(n_instances: int, length: int, chunk_ms: float,
         raise ValueError(f"chunk_ms must be positive and finite, got {chunk_ms}")
     if vocab < 1:
         raise ValueError("vocab must be positive")
+    if vocab > _INT64_MAX:
+        raise ValueError(f"vocab must be at most {_INT64_MAX}, got {vocab}")
     if seed < 0:
         raise ValueError("seed must be at least 0")
     rng = np.random.default_rng(seed)

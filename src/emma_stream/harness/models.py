@@ -96,7 +96,7 @@ class ToyPolicyModel(CopyModel):
 
     def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
         logits = np.matmul(self._query_rows(prefix),
-                           self._key_rows(states[-1])).ravel().tolist()
+                           self._key_rows(states[-1].payload)).ravel().tolist()
         return [_sigmoid((logit + head.bias) / head.temperature)
                 for head, logit in zip(self.heads, logits)]
 

@@ -26,31 +26,22 @@ import math
 from .types import (EOS_TOKEN, DecisionTrace, Emission, IncrementalModel,
                     PrefixView, RuntimeConfig, StreamInstance, TraceEvent)
 
-__all__ = ["READ", "WRITE", "decide", "run_stream"]
+__all__ = ["READ", "WRITE", "run_stream"]
 
 READ = "READ"
 WRITE = "WRITE"
 
 
-def _lowest(head_ps):
-    """The minimum head probability; consumes ``head_ps`` once."""
-    lowest = min(head_ps, default=None)
-    if lowest is None:
-        raise ValueError("decision needs at least one head probability")
-    return lowest
-
-
-def decide(head_ps, threshold: float) -> str:
-    """WRITE iff every head is at or above the threshold."""
-    lowest = _lowest(head_ps)
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must lie strictly in (0,1), got {threshold}")
-    return WRITE if lowest >= threshold else READ
-
-
 def run_stream(model: IncrementalModel, instance: StreamInstance,
                config: RuntimeConfig) -> DecisionTrace:
-    """Run the full streaming loop for one instance."""
+    """Run the full streaming loop for one instance.
+
+    After each read the model encodes ``PrefixView(chunks, consumed)``,
+    and the states it returns go into every later query. The write rule
+    lives here alone: a decision writes when the minimum head probability
+    is at least ``config.threshold``, a NaN minimum reads, and a model
+    that answers no head probability raises ``ValueError``.
+    """
     chunks = instance.source_chunks
     if not chunks:
         raise ValueError(f"instance {instance.id!r} has no source chunks")
@@ -81,7 +72,11 @@ def run_stream(model: IncrementalModel, instance: StreamInstance,
             if consumed == 0:
                 read = True  # the first read is unconditional
             else:
-                lowest = _lowest(model.head_probabilities(states, outputs))
+                lowest = min(model.head_probabilities(states, outputs),
+                             default=None)
+                if lowest is None:
+                    raise ValueError(
+                        "decision needs at least one head probability")
                 read = not lowest >= threshold  # a NaN minimum reads
                 if read:
                     if lowest > lo:  # a NaN fails this test and drops out

@@ -1,59 +1,37 @@
 """Copy models: the shared copy core and deterministic scripted models.
 
-Every scripted model is a :class:`_ScriptedProbability`: its head
-probabilities are a pure function of (written, consumed). The wait-k
-copier is that core over the rule consumed >= k + written.
+The copy core's encoder states are the chunk view the streaming loop
+hands ``encode_prefix``, and every token it writes is the payload of a
+consumed chunk. Every scripted model is a :class:`_ScriptedProbability`:
+its head probabilities are a pure function of (written, consumed). The
+wait-k copier is that core over the rule consumed >= k + written.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from .types import EOS_TOKEN, PrefixView, SourceChunk
+from .types import EOS_TOKEN, SourceChunk
 
-__all__ = ["CopyModel", "Payloads", "scripted_waitk_model",
-           "scripted_probability_model"]
-
-
-class Payloads(PrefixView):
-    """Read-only view of the payloads of a chunk sequence, made in O(1):
-    item j is ``chunks[j].payload``. A :class:`PrefixView` is unwrapped,
-    so a read goes through one view, not two."""
-
-    __slots__ = ()
-
-    def __init__(self, chunks: Sequence[SourceChunk]):
-        if isinstance(chunks, PrefixView):
-            self._items, self._n = chunks._items, chunks._n
-        else:
-            self._items, self._n = chunks, len(chunks)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(c.payload for c in super().__getitem__(index))
-        if not -self._n <= index < self._n:
-            raise IndexError("payload index out of range")
-        return self._items[index % self._n].payload
-
-    def __iter__(self):
-        return (c.payload for c in super().__iter__())
+__all__ = ["CopyModel", "scripted_waitk_model", "scripted_probability_model"]
 
 
 class CopyModel:
-    """Copy core of every built-in model: the states are a view of the
-    consumed payloads (:class:`Payloads`), not a copy of them.
+    """Copy core of every built-in model: the states are the chunk view
+    the loop hands ``encode_prefix`` (an O(1) :class:`PrefixView` of the
+    consumed chunks), kept as it is, not copied or wrapped.
 
-    ``next_token`` copies the first payload not yet copied and returns EOS
-    once every consumed payload has been copied. With nothing left to copy
-    every head returns 0, so the loop reads on. Subclasses supply
-    ``n_heads`` and ``_probabilities(states, prefix)``, which is only asked
-    while an uncopied payload exists.
+    ``next_token`` copies the payload of the first chunk not yet copied
+    and returns EOS once every consumed payload has been copied. With
+    nothing left to copy every head returns 0, so the loop reads on.
+    Subclasses supply ``n_heads`` and ``_probabilities(states, prefix)``,
+    which is only asked while an uncopied payload exists.
     """
 
     n_heads = 1
 
-    def encode_prefix(self, chunks: Sequence[SourceChunk]) -> Payloads:
-        return Payloads(chunks)
+    def encode_prefix(self, chunks: Sequence[SourceChunk]) -> Sequence[SourceChunk]:
+        return chunks
 
     def head_probabilities(self, states, prefix: Sequence[int]) -> list[float]:
         if len(prefix) >= len(states):
@@ -63,7 +41,7 @@ class CopyModel:
     def next_token(self, states, prefix: Sequence[int]) -> int:
         if len(prefix) >= len(states):
             return EOS_TOKEN
-        return states[len(prefix)]
+        return states[len(prefix)].payload
 
     def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
         raise NotImplementedError

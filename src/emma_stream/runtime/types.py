@@ -127,8 +127,9 @@ class IncrementalModel(Protocol):
     while source remains it calls ``head_probabilities`` once per
     (written, consumed) state, and ``next_token`` for every write.
     Implementations must be deterministic given identical call history.
-    The built-in models (``runtime.models.CopyModel``) keep a view of the
-    consumed payloads as their states, so encoding a prefix is O(1) too.
+    The built-in models (``runtime.models.CopyModel``) keep the view they
+    are handed as their states and read each chunk's payload from it, so
+    encoding a prefix is O(1) too.
     """
 
     def encode_prefix(self, chunks: Sequence[SourceChunk]):

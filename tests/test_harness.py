@@ -477,7 +477,8 @@ def test_toy_model_probabilities_are_the_stepwise_formula(tmp_path):
             if len(prefix) >= len(states):
                 continue  # nothing left to copy: every head answers 0
             last = (len(prefix), prefix[-1] if prefix else EOS_TOKEN)
-            h = _hash_rng(shared.seed, "src", states[-1]).standard_normal((1, shared.d))
+            h = _hash_rng(shared.seed, "src", states[-1].payload).standard_normal(
+                (1, shared.d))
             s = _hash_rng(shared.seed, "dec", *last).standard_normal((1, shared.d))
             rows = EncDecStates(h=h, s=s, v=np.zeros((1, 1)))
             expected = [stepwise_probability(head, rows).item()
@@ -513,8 +514,8 @@ def test_scripted_stochastic_probabilities_are_pinned(written, consumed, pinned)
 
 
 class EncodeRecorder:
-    """Forwards to a model; keeps the states of every encode and their
-    payloads at the time of the call."""
+    """Forwards to a model; keeps the view and the states of every encode
+    and the chunks of the states at the time of the call."""
 
     def __init__(self, model):
         self.model = model
@@ -522,7 +523,7 @@ class EncodeRecorder:
 
     def encode_prefix(self, chunks):
         states = self.model.encode_prefix(chunks)
-        self.encodes.append((len(chunks), states, tuple(states)))
+        self.encodes.append((chunks, states, tuple(states)))
         return states
 
     def head_probabilities(self, states, prefix):
@@ -539,8 +540,9 @@ class EncodeRecorder:
     ("scripted_probability", None),
 ])
 def test_models_see_the_payloads_of_the_read_prefix(kind, parameters):
-    # after j reads a built-in model's states are the first j payloads, and
-    # stay so while later reads extend the prefix
+    # after j reads a built-in model's states are the view of the first j
+    # chunks it was handed, whose payloads are the first j payloads, and
+    # they stay so while later reads extend the prefix
     payloads = tuple(int(v) for v in np.random.default_rng(4).integers(1, 50, 12))
     inst = StreamInstance("p", tuple(SourceChunk(0.1, v) for v in payloads),
                           payloads)
@@ -550,11 +552,14 @@ def test_models_see_the_payloads_of_the_read_prefix(kind, parameters):
         model = model_factory(kind, parameters, 7)(inst)
     recording = EncodeRecorder(model)
     run_stream(recording, inst, RuntimeConfig())
-    assert [n for n, _, _ in recording.encodes] == list(range(1, 13))
-    for j, (_, states, at_call) in enumerate(recording.encodes, 1):
-        assert at_call == tuple(states) == payloads[:j]
-        assert states == payloads[:j] and len(states) == j
-        assert states[-1] == payloads[j - 1] and states[:2] == payloads[:j][:2]
+    assert [len(view) for view, _, _ in recording.encodes] == list(range(1, 13))
+    for j, (view, states, at_call) in enumerate(recording.encodes, 1):
+        assert states is view
+        assert at_call == tuple(states) == inst.source_chunks[:j]
+        assert states == inst.source_chunks[:j] and len(states) == j
+        assert tuple(c.payload for c in states) == payloads[:j]
+        assert states[-1].payload == payloads[j - 1]
+        assert states[:2] == inst.source_chunks[:j][:2]
 
 
 def test_sweep_loads_and_builds_the_model_once(tmp_path, monkeypatch):
@@ -897,6 +902,29 @@ def test_cli_unparseable_args_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["evaluate", "--manifest", "m.json", "--workers", "abc"],
+     "argument --workers: invalid int value: 'abc'"),
+    (["evaluate"], "the following arguments are required: --manifest"),
+    (["sweep", "--manifest", "m.json", "--format", "xml"],
+     "argument --format: invalid choice: 'xml'"),
+    (["train-toy", "--lambda-latency", "-1,0"],
+     "argument --lambda-latency: expected one argument"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+])
+def test_cli_usage_error_is_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_cli_help_still_prints_usage(capsys):
+    assert main(["evaluate", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: emma-stream evaluate")
+
+
 def test_cli_all_failed_corpus_exits_1(tmp_path, capsys):
     entries = [{"id": "bad", "source": [{"dur_ms": 1000, "token": 1}],
                 "reference": []}]
@@ -1127,6 +1155,16 @@ def test_cli_gen_negative_seed_exits_2_naming_seed(tmp_path, capsys):
     assert main(["gen", "--out", str(out), "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "error: seed must be at least 0\n"
     assert not out.exists()
+
+
+def test_cli_gen_vocab_beyond_int64_exits_2_naming_vocab(tmp_path, capsys):
+    out = tmp_path / "c.jsonl"
+    assert main(["gen", "--out", str(out), "--vocab", str(2**63)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: vocab must be at most {2**63 - 1}, got {2**63}\n"
+    assert not out.exists()
+    assert main(["gen", "--out", str(out), "--n", "2", "--length", "3",
+                 "--vocab", str(2**63 - 1)]) == 0
 
 
 def test_cli_negative_seed_override_exits_2_naming_seed(tmp_path, capsys):

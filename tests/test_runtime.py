@@ -8,7 +8,7 @@ import pytest
 from emma_stream.emma import alignment_parallel
 from emma_stream.runtime import (EOS_TOKEN, READ, WRITE, PrefixView,
                                  RuntimeConfig, SourceChunk, StreamInstance,
-                                 decide, run_stream, scripted_probability_model,
+                                 run_stream, scripted_probability_model,
                                  scripted_waitk_model, trace_to_lines)
 
 
@@ -22,24 +22,33 @@ def offline_model():
     return scripted_probability_model(lambda written, consumed: [0.0])
 
 
-# -- decide -------------------------------------------------------------------
+# -- the write rule ------------------------------------------------------------
 
-def test_decide_min_over_heads():
-    assert decide([0.9, 0.6], 0.5) == WRITE
-    assert decide([0.9, 0.4], 0.5) == READ
+def first_decision(head_ps):
+    """The kind of the event after the unconditional first read at t = 0.5,
+    for a model whose heads always answer ``head_ps``."""
+    model = scripted_probability_model(lambda written, consumed: head_ps)
+    trace = run_stream(model, instance_of(2), RuntimeConfig(threshold=0.5))
+    return trace.events[1].kind
 
 
-def test_decide_boundary_inclusive():
-    assert decide([0.5], 0.5) == WRITE
+def test_write_rule_takes_the_minimum_over_heads():
+    assert first_decision([0.9, 0.6]) == WRITE
+    assert first_decision([0.9, 0.4]) == READ
+    assert first_decision([math.nan]) == READ
 
 
-def test_decide_errors():
-    with pytest.raises(ValueError):
-        decide([], 0.5)
-    with pytest.raises(ValueError):
-        decide([0.5], 0.0)
-    with pytest.raises(ValueError):
-        decide([0.5], 1.0)
+def test_write_rule_boundary_inclusive():
+    assert first_decision([0.5]) == WRITE
+
+
+def test_write_rule_errors():
+    with pytest.raises(ValueError,
+                       match="decision needs at least one head probability"):
+        first_decision([])
+    for bad in (0.0, 1.0):
+        with pytest.raises(ValueError, match="threshold must lie strictly"):
+            RuntimeConfig(threshold=bad)
 
 
 # -- hand-traced schedules ----------------------------------------------------
