@@ -3,8 +3,7 @@ regularizers, and the differentiable objective."""
 
 from .alignment import (alignment_parallel, alignment_recursive,
                         stepwise_probability)
-from .attention import (attention_energies, attention_output, beta_parallel,
-                        beta_recursive)
+from .attention import attention_energies, beta_parallel, beta_recursive
 from .losses import (alignment_variance, expected_delays, ideal_delays,
                      latency_loss, variance_loss)
 from .objective import ObjectiveResult, emma_objective
@@ -18,7 +17,6 @@ __all__ = [
     "alignment_recursive",
     "stepwise_probability",
     "attention_energies",
-    "attention_output",
     "beta_parallel",
     "beta_recursive",
     "alignment_variance",

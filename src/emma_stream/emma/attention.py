@@ -23,7 +23,6 @@ __all__ = [
     "attention_energies",
     "beta_recursive",
     "beta_parallel",
-    "attention_output",
 ]
 
 
@@ -73,11 +72,3 @@ def beta_parallel(alpha, e) -> np.ndarray:
     """
     return lookback_forward(*_check_pair(alpha, e))[0]
 
-
-def attention_output(beta, states: EncDecStates) -> np.ndarray:
-    """Context rows c_i = sum_j beta[i, j] v_j."""
-    beta = mx.as_matrix(beta)
-    if beta.shape[1] != states.source_len:
-        raise ShapeError(
-            f"beta has {beta.shape[1]} source columns, states have {states.source_len}")
-    return mx.matmul(beta, states.v)

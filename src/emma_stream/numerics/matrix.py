@@ -2,8 +2,7 @@
 
 Every function here takes and returns 2-D ``float64`` numpy arrays and
 performs explicit shape validation instead of relying on broadcasting.
-The catalog is deliberately small: matrix multiply, sigmoid and row
-softmax.
+The catalog is deliberately small: sigmoid and row softmax.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from ..errors import ShapeError
 
 __all__ = [
     "as_matrix",
-    "matmul",
     "sigmoid",
     "row_softmax",
 ]
@@ -36,14 +34,6 @@ def as_matrix(value, *, name: str = "matrix") -> np.ndarray:
 def _check_same_shape(a: np.ndarray, b: np.ndarray, op: str) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not conform")
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product; inner dimensions must agree."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
-    return a @ b
 
 
 def sigmoid(a) -> np.ndarray:

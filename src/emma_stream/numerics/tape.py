@@ -15,8 +15,8 @@ and the tail ops give one output row per block of rows, each bit for bit
 a one-row leaf's (numpy's batched products do that; one tall product over
 all blocks rounds differently).
 
-The primitives are the ones the objective records, plus ``mul`` and
-``matmul``, which the adjoint tests combine with them.
+The primitives are the ones the objective records, plus ``mul``, with
+which the adjoint tests project an op's output onto random weights.
 Element-wise ``sigmoid``, ``tanh``, ``exp``, ``log`` and ``row_softmax``
 are not tape ops: the fused ops evaluate them inside their own forwards
 and adjoints.
@@ -64,26 +64,13 @@ class Node:
         self.meta = meta
         self.saved = saved
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.value.shape
-
-    def item(self) -> float:
-        if self.value.shape != (1, 1):
-            raise ShapeError(f"item() requires a 1x1 value, got {self.value.shape}")
-        return float(self.value[0, 0])
-
-    def __repr__(self) -> str:
-        return f"Node(#{self.index} {self.op} {self.value.shape})"
-
 
 # Forward rules, keyed by op kind: (parent values, meta) -> value, or a tuple
 # (value, *saved) for ops whose adjoint reads forward intermediates.
-# `leaf` has no rule; replay restores its stored value directly.
+# `leaf` has no rule: :meth:`Tape.leaf` stores its value directly.
 _FORWARD: dict[str, Callable] = {
     "add": lambda vs, m: vs[0] + vs[1],
     "mul": lambda vs, m: vs[0] * vs[1],
-    "matmul": lambda vs, m: vs[0] @ vs[1],
     "sum": lambda vs, m: np.array([[vs[0].sum()]]),
     "monotonic_alignment": lambda vs, m: _alignment(vs[0], *m),
     "lookback_attention": lambda vs, m: monotonic.lookback_forward(*vs),
@@ -181,7 +168,6 @@ def _cross_entropy_adjoint(softmax: np.ndarray, grad: np.ndarray, targets):
 _BACKWARD: dict[str, Callable] = {
     "add": lambda y, g, vs, m, s: (g, g),
     "mul": lambda y, g, vs, m, s: (g * vs[1], g * vs[0]),
-    "matmul": lambda y, g, vs, m, s: (g @ vs[1].T, vs[0].T @ g),
     "sum": lambda y, g, vs, m, s: (np.full_like(vs[0], g[0, 0]),),
     "monotonic_alignment": lambda y, g, vs, m, s:
         _alignment_adjoint(*s, g, m[0]),
@@ -196,12 +182,6 @@ _BACKWARD: dict[str, Callable] = {
     "delay_moments": lambda y, g, vs, m, s:
         _delay_moments_adjoint(vs[0], m[1], s[1], g),
 }
-
-
-def _forward(op: str, values: list[np.ndarray], meta: tuple):
-    """(value, saved intermediates) of one forward rule."""
-    out = _FORWARD[op](values, meta)
-    return (out[0], out[1:]) if isinstance(out, tuple) else (out, ())
 
 
 def _policy_meta(op: str, theta: Node, s, h, heads: policy.HeadSlots) -> tuple:
@@ -231,7 +211,8 @@ class Tape:
         for p in parents:
             if not self._holds(p):
                 raise LookupError("parent node belongs to a different tape")
-        value, saved = _forward(op, [p.value for p in parents], meta)
+        out = _FORWARD[op]([p.value for p in parents], meta)
+        value, saved = (out[0], out[1:]) if isinstance(out, tuple) else (out, ())
         node = Node(len(self.nodes), op, _freeze(value),
                     tuple([p.index for p in parents]), meta, saved)
         self.nodes.append(node)
@@ -245,10 +226,6 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def constant(self, value) -> Node:
-        """A leaf whose gradient the caller does not intend to read."""
-        return self.leaf(value)
-
     # -- primitives --------------------------------------------------------
     def add(self, a: Node, b: Node) -> Node:
         mx._check_same_shape(a.value, b.value, "add")
@@ -257,12 +234,6 @@ class Tape:
     def mul(self, a: Node, b: Node) -> Node:
         mx._check_same_shape(a.value, b.value, "mul")
         return self._record("mul", (a, b))
-
-    def matmul(self, a: Node, b: Node) -> Node:
-        if a.value.shape[1] != b.value.shape[0]:
-            raise ShapeError(
-                f"matmul: shapes {a.value.shape} and {b.value.shape} do not conform")
-        return self._record("matmul", (a, b))
 
     def sum(self, a: Node) -> Node:
         """Total sum as a 1x1 matrix."""
@@ -360,7 +331,7 @@ class Tape:
                              f"[0, {cols}) dividing {rows} rows, got {targets}")
         return self._record("cross_entropy", (logits,), (targets,))
 
-    # -- backward and replay ------------------------------------------------
+    # -- backward ---------------------------------------------------------
     def backward(self, output: Node) -> list[np.ndarray]:
         """Gradients of a scalar ``output`` with respect to every node.
 
@@ -393,15 +364,3 @@ class Tape:
                 grads[p_idx] = pg
         return [g if g is not None else np.zeros_like(n.value)
                 for g, n in zip(grads, self.nodes)]
-
-    def replay(self) -> None:
-        """Re-run every forward rule; raise if any value fails to reproduce bit-identically."""
-        for node in self.nodes:
-            if node.op == "leaf":
-                continue
-            value, _ = _forward(node.op, [self.nodes[p].value for p in node.parents],
-                                node.meta)
-            recomputed = np.ascontiguousarray(value, dtype=np.float64)
-            if not np.array_equal(recomputed, node.value):
-                raise RuntimeError(
-                    f"replay mismatch at node #{node.index} ({node.op})")

@@ -39,7 +39,7 @@ def run_stream(model: IncrementalModel, instance: StreamInstance,
     After each read the model encodes ``PrefixView(chunks, consumed)``,
     and the states it returns go into every later query. The write rule
     lives here alone: a decision writes when the minimum head probability
-    is at least ``config.threshold``, a NaN minimum reads, and a model
+    is at least ``config.threshold``, any NaN head reads, and a model
     that answers no head probability raises ``ValueError``.
     """
     chunks = instance.source_chunks
@@ -72,12 +72,14 @@ def run_stream(model: IncrementalModel, instance: StreamInstance,
             if consumed == 0:
                 read = True  # the first read is unconditional
             else:
-                lowest = min(model.head_probabilities(states, outputs),
-                             default=None)
+                probs = tuple(model.head_probabilities(states, outputs))
+                # any NaN head reads; min() would keep it only in first place
+                lowest = (math.nan if math.isnan(sum(probs))
+                          else min(probs, default=None))
                 if lowest is None:
                     raise ValueError(
                         "decision needs at least one head probability")
-                read = not lowest >= threshold  # a NaN minimum reads
+                read = not lowest >= threshold  # a NaN reads
                 if read:
                     if lowest > lo:  # a NaN fails this test and drops out
                         lo = lowest

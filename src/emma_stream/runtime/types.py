@@ -169,8 +169,9 @@ class DecisionTrace:
     sets lo to the largest minimum head probability among its READ
     decisions (-inf without any) and hi to the smallest among its WRITE
     decisions (+inf without any); the unconditional first read and the
-    offline-tail writes are no decisions. The default is empty: a trace
-    made by hand claims no threshold.
+    offline-tail writes are no decisions, and a read on a NaN head moves
+    neither bound. The default is empty: a trace made by hand claims no
+    threshold.
     """
 
     instance_id: str

@@ -1,12 +1,11 @@
-"""Infinite-lookback attention weights and the context readout."""
+"""Infinite-lookback attention weights."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emma_stream.emma import (EncDecStates, alignment_parallel,
-                              attention_energies, attention_output,
+from emma_stream.emma import (alignment_parallel, attention_energies,
                               beta_parallel, beta_recursive)
 from emma_stream.emma.params import random_head, random_states
 from emma_stream.errors import DomainError, ShapeError
@@ -95,37 +94,3 @@ def test_energies_are_positive_and_row_max_one():
     assert np.all(e > 0.0)
     # the subtracted row max makes the largest entry exactly exp(0)
     assert np.allclose(e.max(axis=1), 1.0)
-
-
-def test_output_selects_value_row():
-    v = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    states = EncDecStates(h=np.zeros((3, 2)), s=np.zeros((1, 2)), v=v)
-    out = attention_output([[0.0, 1.0, 0.0]], states)
-    assert np.array_equal(out, [[3.0, 4.0]])
-
-
-def test_output_zero_rows():
-    states = EncDecStates(h=np.zeros((3, 2)), s=np.zeros((2, 2)),
-                          v=np.ones((3, 2)))
-    assert np.array_equal(attention_output(np.zeros((2, 3)), states),
-                          np.zeros((2, 2)))
-
-
-def test_output_matches_naive_matmul():
-    rng = np.random.default_rng(9)
-    beta = rng.uniform(size=(3, 4))
-    v = rng.normal(size=(4, 2))
-    states = EncDecStates(h=np.zeros((4, 2)), s=np.zeros((3, 2)), v=v)
-    naive = np.zeros((3, 2))
-    for i in range(3):
-        for j in range(4):
-            for k in range(2):
-                naive[i, k] += beta[i, j] * v[j, k]
-    assert np.allclose(attention_output(beta, states), naive, atol=1e-12)
-
-
-def test_output_shape_mismatch():
-    states = EncDecStates(h=np.zeros((3, 2)), s=np.zeros((2, 2)),
-                          v=np.ones((3, 2)))
-    with pytest.raises(ShapeError):
-        attention_output(np.zeros((2, 5)), states)

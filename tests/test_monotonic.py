@@ -36,7 +36,7 @@ def tape_gradients(p, e, w, force_last_column):
     t = Tape()
     p_leaf, e_leaf = t.leaf(p), t.leaf(e)
     alpha = t.monotonic_alignment(p_leaf, force_last_column)
-    w_node = t.constant(w)
+    w_node = t.leaf(w)
     align_out = t.sum(t.mul(alpha, w_node))
     beta_out = t.sum(t.mul(t.lookback_attention(alpha, e_leaf), w_node))
     align_grads = t.backward(align_out)
@@ -171,15 +171,15 @@ def test_two_head_adjoints_match_central_differences(shape, force):
                   for part in np.split(theta, 2)]
         alpha = t.monotonic_alignment(leaves[0], force, heads=2)
         beta = t.lookback_attention(alpha, leaves[1])
-        out = t.add(t.sum(t.mul(alpha, t.constant(w_alpha))),
-                    t.sum(t.mul(beta, t.constant(w_beta))))
+        out = t.add(t.sum(t.mul(alpha, t.leaf(w_alpha))),
+                    t.sum(t.mul(beta, t.leaf(w_beta))))
         return t, leaves, out
 
     t, leaves, out = record(theta)
     grads = t.backward(out)
     analytic = np.concatenate([grads[leaf.index].ravel() for leaf in leaves])
     central = central_difference_gradient(
-        lambda probes: [record(th)[2].item() for th in probes], theta, h=H)
+        lambda probes: [record(th)[2].value.item() for th in probes], theta, h=H)
     assert np.allclose(analytic, central, rtol=1e-6, atol=1e-8)
     if force:
         assert np.all(grads[leaves[0].index][:, -1] == 0.0)
@@ -212,4 +212,4 @@ def test_multi_head_ops_record_one_node_each():
     before = len(t)
     beta = t.lookback_attention(t.monotonic_alignment(p, heads=3), e)
     assert len(t) == before + 2
-    assert beta.shape == (18, 9)
+    assert beta.value.shape == (18, 9)

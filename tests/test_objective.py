@@ -283,7 +283,6 @@ def test_lockstep_settings_equal_their_single_calls(monkeypatch, n_settings,
         # one node per op at any R: the same count as each single call, and
         # the backward's sum only when a gradient is taken
         assert len(batched) == 9 + with_gradient == len(tapes[-1])
-        batched.replay()
 
 
 def test_lockstep_theta_defaults_and_shape_errors():

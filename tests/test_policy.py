@@ -37,7 +37,7 @@ def check_against_central_differences(record, theta):
     grads = t.backward(out)
     analytic = np.concatenate([grads[leaf.index].ravel() for leaf in leaves])
     central = central_difference_gradient(
-        lambda probes: [record(th)[2].item() for th in probes], theta, h=H)
+        lambda probes: [record(th)[2].value.item() for th in probes], theta, h=H)
     assert np.allclose(analytic, central, rtol=1e-6, atol=1e-8)
 
 
@@ -53,7 +53,7 @@ def test_stepwise_adjoint_matches_central_differences(depth, n_heads, force):
         leaf = t.leaf(th)
         p = t.stepwise(leaf, states.s, states.h, slots)
         alpha = t.monotonic_alignment(p, force, heads=n_heads)
-        return t, (leaf,), t.sum(t.mul(alpha, t.constant(w)))
+        return t, (leaf,), t.sum(t.mul(alpha, t.leaf(w)))
 
     check_against_central_differences(record, theta)
 
@@ -72,9 +72,9 @@ def test_energies_adjoint_matches_central_differences(depth, n_heads, force):
     def record(th):
         t = Tape()
         leaf = t.leaf(th)
-        alpha = t.monotonic_alignment(t.constant(p), force, heads=n_heads)
+        alpha = t.monotonic_alignment(t.leaf(p), force, heads=n_heads)
         beta = t.lookback_attention(alpha, t.energies(leaf, states.s, states.h, slots))
-        return t, (leaf,), t.sum(t.mul(beta, t.constant(w)))
+        return t, (leaf,), t.sum(t.mul(beta, t.leaf(w)))
 
     check_against_central_differences(record, theta)
 
@@ -93,7 +93,7 @@ def test_fused_ops_on_parameter_rows_match_central_differences(n_heads):
         alpha = t.monotonic_alignment(
             t.stepwise(leaf, states.s, states.h, slots), heads=3 * n_heads)
         beta = t.lookback_attention(alpha, t.energies(leaf, states.s, states.h, slots))
-        return t, (leaf,), t.sum(t.mul(t.add(alpha, beta), t.constant(w)))
+        return t, (leaf,), t.sum(t.mul(t.add(alpha, beta), t.leaf(w)))
 
     check_against_central_differences(record, theta.ravel())
 
@@ -142,7 +142,7 @@ def test_tail_op_adjoints_match_central_differences():
         logits = t.readout(a_leaf, p_leaf, v, 2, W_SLOT, B_SLOT)
         loss = t.add(t.cross_entropy(logits, targets),
                      t.delay_moments(a_leaf, ideal, weights))
-        return t, (p_leaf, a_leaf), t.sum(t.mul(loss, t.constant(out_w)))
+        return t, (p_leaf, a_leaf), t.sum(t.mul(loss, t.leaf(out_w)))
 
     check_against_central_differences(
         record, np.concatenate([params.ravel(), alpha.ravel()]))
@@ -175,8 +175,8 @@ def test_tail_ops_values():
         one_logits = one.readout(one.leaf(rows), one.leaf(params[r]), v, 2,
                                  W_SLOT, B_SLOT)
         assert np.array_equal(one_logits.value, logits.value[3 * r:3 * r + 3])
-        assert one.cross_entropy(one_logits, targets).item() == nll.value[r, 0]
-        assert one.delay_moments(one.leaf(rows), ideal, weights[r]).item() \
+        assert one.cross_entropy(one_logits, targets).value.item() == nll.value[r, 0]
+        assert one.delay_moments(one.leaf(rows), ideal, weights[r]).value.item() \
             == penalty.value[r, 0]
 
 
@@ -190,7 +190,7 @@ def test_fused_ops_reject_bad_arguments():
         t.energies(leaf, states.s, states.h[:, :2], slots)
     # the tail ops on two parameter rows, two heads of two target rows each
     rows = t.leaf(np.stack([theta, theta]))
-    beta = t.constant(np.full((8, 3), 0.1))
+    beta = t.leaf(np.full((8, 3), 0.1))
     v = np.ones((3, 2))
     for bad_beta, bad_v, n_heads, w_slot, b_slot in (
             (beta, v, 2, (0, 3, 2), (8, 1, 2)),  # W rows are not v's columns
@@ -199,15 +199,15 @@ def test_fused_ops_reject_bad_arguments():
             (beta, v, 3, (0, 2, 2), (8, 1, 2)),  # 3 heads do not divide 4 rows
             (beta, v, 0, (0, 2, 2), (8, 1, 2)),
             (beta, np.ones((4, 2)), 2, (0, 2, 2), (8, 1, 2)),  # v rows
-            (t.constant(np.ones((6, 3))), v, 2, (0, 2, 2), (8, 1, 2))):
+            (t.leaf(np.ones((6, 3))), v, 2, (0, 2, 2), (8, 1, 2))):
         with pytest.raises(ShapeError):
             t.readout(bad_beta, rows, bad_v, n_heads, w_slot, b_slot)
     for targets in ([0, 3], [0, 1, 2], []):  # out of range, not dividing
         with pytest.raises(ValueError):
-            t.cross_entropy(t.constant(np.zeros((4, 3))), targets)
+            t.cross_entropy(t.leaf(np.zeros((4, 3))), targets)
     with pytest.raises(DomainError):
-        t.cross_entropy(t.constant([[0.0, 1.0], [0.0, -800.0]]), [0])
-    alpha = t.constant(np.ones((8, 3)))
+        t.cross_entropy(t.leaf([[0.0, 1.0], [0.0, -800.0]]), [0])
+    alpha = t.leaf(np.ones((8, 3)))
     for ideal, weights in (([0.0, 1.0, 2.0], [[1.0, 0.0]] * 2),  # 3 per head
                            ([0.0, 1.0], [[1.0, 0.0]] * 3),  # 3 blocks of 8 rows
                            ([0.0, 1.0], [[1.0, 0.0, 0.0]] * 2),  # not pairs
@@ -215,7 +215,7 @@ def test_fused_ops_reject_bad_arguments():
         with pytest.raises(ShapeError):
             t.delay_moments(alpha, ideal, weights)
     with pytest.raises(ShapeError):
-        t.monotonic_alignment(t.constant(np.full((5, 3), 0.5)), heads=2)
+        t.monotonic_alignment(t.leaf(np.full((5, 3), 0.5)), heads=2)
     with pytest.raises(ValueError, match="share one shape"):
         parameter_slots([heads[0], random_head(np.random.default_rng(0), 4, 2)],
                         random_readout(np.random.default_rng(0), 2, 3))

@@ -36,6 +36,13 @@ def test_write_rule_takes_the_minimum_over_heads():
     assert first_decision([0.9, 0.6]) == WRITE
     assert first_decision([0.9, 0.4]) == READ
     assert first_decision([math.nan]) == READ
+    for head_ps in ([math.nan, 0.9], [0.9, math.nan]):
+        # any NaN head reads at every threshold and moves neither bound
+        assert first_decision(head_ps) == READ
+        model = scripted_probability_model(lambda written, consumed: head_ps)
+        trace = run_stream(model, instance_of(3), RuntimeConfig(threshold=0.5))
+        assert trace.delays == [3.0, 3.0, 3.0]
+        assert trace.threshold_interval == (-math.inf, math.inf)
 
 
 def test_write_rule_boundary_inclusive():
@@ -235,6 +242,8 @@ def test_delays_are_the_forced_alignment_of_the_thresholded_surface():
     # write iff the copy mask allows it (i < j + 1) and every head clears
     # t; the forced alignment of that 0/1 matrix is one-hot at each row's
     # delay. Half the surfaces sit on a grid of tenths, so ties with t occur.
+    # Each surface runs again with a tenth of its entries NaN: numpy's min
+    # keeps a NaN head wherever it sits, so any NaN head reads.
     for seed in range(2000):
         rng = np.random.default_rng(seed)
         n, n_heads = int(rng.integers(1, 13)), int(rng.integers(1, 4))
@@ -243,13 +252,15 @@ def test_delays_are_the_forced_alignment_of_the_thresholded_surface():
         else:
             table = rng.integers(0, 11, size=(n, n + 1, n_heads)) / 10
             t = int(rng.integers(1, 10)) / 10
-        trace = run_stream(
-            scripted_probability_model(lambda w, c: table[w, c].tolist()),
-            instance_of(n), RuntimeConfig(threshold=t))
-        i, j = np.indices((n, n))
-        p_hard = ((i < j + 1) & (table.min(axis=2)[:, 1:] >= t)).astype(float)
-        alpha = alignment_parallel(p_hard, force_last_column=True)
-        assert trace.delays == (alpha.argmax(axis=1) + 1.0).tolist(), seed
+        salted = np.where(rng.uniform(size=table.shape) < 0.1, np.nan, table)
+        for surface in (table, salted):
+            trace = run_stream(
+                scripted_probability_model(lambda w, c: surface[w, c].tolist()),
+                instance_of(n), RuntimeConfig(threshold=t))
+            i, j = np.indices((n, n))
+            p_hard = ((i < j + 1) & (surface.min(axis=2)[:, 1:] >= t)).astype(float)
+            alpha = alignment_parallel(p_hard, force_last_column=True)
+            assert trace.delays == (alpha.argmax(axis=1) + 1.0).tolist(), seed
 
 
 class Generating:
