@@ -201,14 +201,26 @@ def _parse_instance(raw: dict) -> StreamInstance:
     source = raw["source"]
     if not source:
         raise ValueError(f"instance {iid!r} has an empty source")
+    # A regular field passes an inline type and range test; only the rest go
+    # through _number, which formats the message. The 64-bit bound keeps a
+    # token too large for a float on _number's path, where it raises
+    # OverflowError as a huge dur_ms does in the division below.
     chunks = []
     for entry in source:
-        dur_ms = _number(entry["dur_ms"], f"instance {iid!r} dur_ms")
-        if not dur_ms > 0:
-            raise ValueError(f"instance {iid!r} has non-positive dur_ms {dur_ms}")
-        token = _number(entry["token"], f"instance {iid!r} token", int)
-        chunks.append(SourceChunk(duration_s=dur_ms / 1000.0, payload=token))
-    reference = tuple(_number(t, f"instance {iid!r} reference token", int)
-                      for t in raw["reference"])
+        dur_ms = entry["dur_ms"]
+        if type(dur_ms) is not float and type(dur_ms) is not int \
+                or not 0 < dur_ms < math.inf:
+            dur_ms = _number(dur_ms, f"instance {iid!r} dur_ms")
+            if not dur_ms > 0:
+                raise ValueError(f"instance {iid!r} has non-positive dur_ms {dur_ms}")
+        duration_s = dur_ms / 1000.0
+        token = entry["token"]
+        if type(token) is not int or not -2**63 <= token < 2**63:
+            token = _number(token, f"instance {iid!r} token", int)
+        chunks.append(SourceChunk(duration_s, token))
+    reference = tuple(
+        t if type(t) is int and -2**63 <= t < 2**63
+        else _number(t, f"instance {iid!r} reference token", int)
+        for t in raw["reference"])
     return StreamInstance(id=iid, source_chunks=tuple(chunks),
                           reference=reference)

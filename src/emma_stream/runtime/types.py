@@ -7,7 +7,7 @@ import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Protocol, Sequence, runtime_checkable
+from typing import NamedTuple, Protocol, Sequence, runtime_checkable
 
 # End-of-sequence marker; never recorded as an output token.
 EOS_TOKEN = -1
@@ -142,17 +142,27 @@ class IncrementalModel(Protocol):
         """Next target token id, or EOS_TOKEN."""
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One event of a run.
+
+    A run makes thousands of events and emissions, so both are named
+    tuples, which build in about a third of the time of a frozen
+    dataclass. Like any tuple, a record compares equal to, and hashes
+    like, a plain tuple of the same fields: ``TraceEvent(1.0, "READ") ==
+    (1.0, "READ", None, None)``.
+    """
+
     sim_time_s: float
     kind: str  # READ | WRITE | EMIT | FINISH
     token: int | None = None
     units: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Emission:
-    """One synthesized output chunk: emission time and playback length."""
+class Emission(NamedTuple):
+    """One synthesized output chunk: emission time and playback length.
+
+    A named tuple, like ``TraceEvent``.
+    """
 
     emit_time_s: float
     playback_duration_s: float

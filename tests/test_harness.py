@@ -1,5 +1,6 @@
 """Corpus ingestion, evaluation, sweeps, training, reports, and the CLI."""
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -86,6 +87,82 @@ def test_load_empty_source_rejected(tmp_path):
                                              "reference": [1]}])
     with pytest.raises(CorpusError, match="empty source"):
         load_instances(p)
+
+
+REGULAR = {"id": "a", "source": [{"dur_ms": 10, "token": 1},
+                                 {"dur_ms": 2.5, "token": 2}],
+           "reference": [1, 2]}
+
+
+def with_entry(**entry):
+    return dict(REGULAR, source=[REGULAR["source"][0], entry])
+
+
+# The error text after "path:1: " for each irregular line, as the parser
+# gave it before it tested regular fields inline.
+BAD_LINES = {
+    "bool-token": (with_entry(dur_ms=2.5, token=True),
+                   "instance 'a' token must be a finite int, got True"),
+    "float-token": (with_entry(dur_ms=2.5, token=3.0),
+                    "instance 'a' token must be a finite int, got 3.0"),
+    "bool-dur": (with_entry(dur_ms=True, token=2),
+                 "instance 'a' dur_ms must be a finite float, got True"),
+    "zero-dur": (with_entry(dur_ms=0, token=2),
+                 "instance 'a' has non-positive dur_ms 0.0"),
+    "negative-dur": (with_entry(dur_ms=-1, token=2),
+                     "instance 'a' has non-positive dur_ms -1.0"),
+    "infinite-dur": (with_entry(dur_ms=math.inf, token=2),
+                     "instance 'a' dur_ms must be a finite float, got inf"),
+    "nan-dur": (with_entry(dur_ms=math.nan, token=2),
+                "instance 'a' dur_ms must be a finite float, got nan"),
+    "underflowing-dur": (with_entry(dur_ms=5e-324, token=2),  # 0 s
+                         "chunk duration must be positive, got 0.0"),
+    "missing-dur": (with_entry(token=2), "'dur_ms'"),
+    "missing-token": (with_entry(dur_ms=2.5), "'token'"),
+    "missing-reference": ({"id": "a", "source": REGULAR["source"]},
+                          "'reference'"),
+    "dict-source": (dict(REGULAR, source={"dur_ms": 10, "token": 1}),
+                    "string indices must be integers, not 'str'"),
+    "string-source": (dict(REGULAR, source="ab"),
+                      "string indices must be integers, not 'str'"),
+    "list-entry": (dict(REGULAR, source=[[10, 1]]),
+                   "list indices must be integers or slices, not str"),
+    "bool-reference": (
+        dict(REGULAR, reference=[1, False]),
+        "instance 'a' reference token must be a finite int, got False"),
+    "int-reference": (dict(REGULAR, reference=3),
+                      "'int' object is not iterable"),
+    "path-id": (dict(REGULAR, id="a/b"),
+                "instance id 'a/b' is not a plain file name"),
+    "int-id": (dict(REGULAR, id=7), "instance id must be a string, got 7"),
+    "list-instance": ([REGULAR],
+                      "list indices must be integers or slices, not str"),
+}
+
+
+@pytest.mark.parametrize("raw,message", BAD_LINES.values(), ids=BAD_LINES.keys())
+def test_load_bad_line_messages_are_pinned(tmp_path, raw, message):
+    p = write_jsonl(tmp_path / "one.jsonl", [raw])
+    with pytest.raises(CorpusError) as err:
+        load_instances(p)
+    assert str(err.value) == f"{p}:1: {message}"
+
+
+@pytest.mark.parametrize("raw,expected", [
+    (with_entry(dur_ms=2.5, token=2, extra=1), ((0.01, 1), (0.0025, 2), (1, 2))),
+    (dict(REGULAR, extra=1), ((0.01, 1), (0.0025, 2), (1, 2))),
+    # ints beyond 64 bits take _number's path and load unchanged
+    (dict(REGULAR, source=[{"dur_ms": 10, "token": 2**63}],
+          reference=[-2**63 - 1, 2**63 - 1]),
+     ((0.01, 2**63), (-2**63 - 1, 2**63 - 1))),
+], ids=["extra-entry-key", "extra-instance-key", "beyond-int64"])
+def test_load_regular_lines(tmp_path, raw, expected):
+    [inst] = load_instances(write_jsonl(tmp_path / "one.jsonl", [raw]))
+    *chunks, reference = expected
+    assert inst == StreamInstance("a", tuple(SourceChunk(*c) for c in chunks),
+                                  reference)
+    assert all(type(c.duration_s) is float and type(c.payload) is int
+               for c in inst.source_chunks)
 
 
 # -- manifest -----------------------------------------------------------------
@@ -299,6 +376,39 @@ def test_sweep_report_bytes_are_pinned(tmp_path):
         pinned = json.dumps({"rows": [dict(zip(COLUMNS, row)) for row in rows]},
                             indent=2) + "\n"
         assert render_report(threshold_sweep(m), format="json") == pinned
+
+
+# sha256 over (relative path, bytes) of every trace file that `sweep
+# --trace-dir` writes for a 0.3/0.5/0.7 sweep over
+# generate_corpus(8, 6, 250.0, vocab=50, seed=5) with manifest seed 11
+PINNED_TRACE_TREES = {
+    "toy_trained":
+        "a285c21b7bad97ba69af27eed9e199e9278e3c413981756465b3351842bf1873",
+    "scripted_stochastic":
+        "0ac111fa1f8bd1bdf831962bc24290d57b345ade418d6bc8db60a03aa6ada075",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_TRACE_TREES))
+def test_sweep_trace_bytes_are_pinned(tmp_path, kind):
+    corpus = write_corpus(generate_corpus(8, 6, 250.0, vocab=50, seed=5),
+                          tmp_path / "corpus.jsonl")
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({
+        "instances": corpus.name,
+        "model": {"kind": kind, "parameters":
+                  {"steps": 20} if kind == "toy_trained" else {}},
+        "sweep": [0.3, 0.5, 0.7], "seed": 11}), encoding="utf-8")
+    tdir = tmp_path / "traces"
+    assert main(["sweep", "--manifest", str(mpath), "--trace-dir", str(tdir),
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    paths = sorted(tdir.rglob("*.jsonl"))
+    assert len(paths) == 3 * 8
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.relative_to(tdir).as_posix().encode() + b"\0"
+                      + path.read_bytes())
+    assert digest.hexdigest() == PINNED_TRACE_TREES[kind]
 
 
 def test_sweep_needs_two_thresholds(tmp_path):

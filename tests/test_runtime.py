@@ -1,14 +1,16 @@
 """The streaming state machine against hand-traced schedules."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from emma_stream.emma import alignment_parallel
-from emma_stream.runtime import (EOS_TOKEN, READ, WRITE, PrefixView,
+from emma_stream.runtime import (EOS_TOKEN, READ, WRITE, Emission, PrefixView,
                                  RuntimeConfig, SourceChunk, StreamInstance,
-                                 run_stream, scripted_probability_model,
+                                 TraceEvent, run_stream,
+                                 scripted_probability_model,
                                  scripted_waitk_model, trace_to_lines)
 
 
@@ -346,6 +348,45 @@ def test_prefix_view_reads_like_the_tuple_prefix():
         assert all(view[sl] == want[sl] for sl in slices)
     with pytest.raises(ValueError):
         PrefixView(items, len(items) + 1)
+
+
+# -- the records -----------------------------------------------------------------
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.nan])
+def test_source_chunk_rejects_a_duration_that_is_not_positive(duration):
+    for make in (lambda: SourceChunk(duration, 1),
+                 lambda: replace(SourceChunk(1.0, 1), duration_s=duration)):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == f"chunk duration must be positive, got {duration}"
+
+
+@pytest.mark.parametrize("kind,values", [
+    (SourceChunk, {"duration_s": 0.25, "payload": 7}),
+    (TraceEvent, {"sim_time_s": 1.0, "kind": "WRITE", "token": 4, "units": None}),
+    (Emission, {"emit_time_s": 1.0, "playback_duration_s": 0.04,
+                "tokens": (4, 5)}),
+])
+def test_records_keep_their_fields_and_are_immutable_and_hashable(kind, values):
+    record = kind(**values)
+    assert record == kind(*values.values())  # the fields in this order
+    assert {name: getattr(record, name) for name in values} == values
+    assert hash(record) == hash(kind(**values))
+    assert len({record, kind(**values)}) == 1
+    for name in values:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    # a frozen slots dataclass refuses a new attribute with a TypeError
+    with pytest.raises((AttributeError, TypeError)):
+        record.extra = 1
+
+
+def test_trace_records_are_tuples_with_defaults():
+    event = TraceEvent(1.0, "READ")
+    assert event.token is None and event.units is None
+    assert event == TraceEvent(1.0, "READ", None, None)
+    assert event == (1.0, "READ", None, None)
+    assert Emission(1.0, 0.04, (4,)) == (1.0, 0.04, (4,))
 
 
 def test_trace_lines_roundtrip():
