@@ -79,9 +79,13 @@ class _Scored:
 
 def _score_trace(instance: StreamInstance, trace) -> _Scored:
     duration = instance.source_duration_s
-    al = average_lagging(trace.delays, duration, len(instance.reference))
-    laal = length_adaptive_average_lagging(
-        trace.delays, duration, len(instance.reference), len(trace.delays))
+    ref_len = len(instance.reference)
+    al = average_lagging(trace.delays, duration, ref_len)
+    # LAAL paces the ideal by max(ref_len, hyp_len): no more outputs than
+    # references is AL's pace, so the value is AL's, bit for bit
+    laal = (al if len(trace.delays) <= ref_len else
+            length_adaptive_average_lagging(trace.delays, duration, ref_len,
+                                            len(trace.delays)))
     offs = offsets(trace)
     row = InstanceLatency(instance_id=instance.id, al=al, laal=laal,
                           start_offset_s=offs["start_offset_s"],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -11,6 +12,8 @@ from ..errors import CorpusError
 from ..runtime.types import RuntimeConfig, SourceChunk, StreamInstance
 
 __all__ = ["Manifest", "load_instances", "model_parameters"]
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -81,10 +84,16 @@ def _object(value, what: str) -> dict:
 
 
 def _number(value, what: str, kind: type = float):
-    """A finite JSON number of ``kind`` (int or float); booleans are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, kind)) \
-            or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite {kind.__name__}, got {value!r}")
+    """A finite JSON number of ``kind`` (int or float); booleans are rejected,
+    and so is an int too large for a float."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, kind)) \
+                or not math.isfinite(value):
+            raise ValueError(
+                f"{what} must be a finite {kind.__name__}, got {value!r}")
+    except OverflowError:  # isfinite of an int beyond float range
+        raise ValueError(f"{what} must be a finite {kind.__name__}, got an "
+                         f"int of {len(str(abs(value)))} digits") from None
     return kind(value)
 
 
@@ -179,8 +188,11 @@ def load_instances(path: str | Path) -> list[StreamInstance]:
                 continue
             try:
                 raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: not valid JSON ({exc.msg})")
+            except ValueError as exc:
+                # a JSONDecodeError, or a plain ValueError for an int literal
+                # over Python's digit limit for int-string conversion
+                raise CorpusError(f"{path}:{lineno}: not valid JSON "
+                                  f"({getattr(exc, 'msg', exc)})")
             try:
                 instances.append(_parse_instance(raw))
             except (KeyError, TypeError, ValueError) as exc:
@@ -202,14 +214,13 @@ def _parse_instance(raw: dict) -> StreamInstance:
     if not source:
         raise ValueError(f"instance {iid!r} has an empty source")
     # A regular field passes an inline type and range test; only the rest go
-    # through _number, which formats the message. The 64-bit bound keeps a
-    # token too large for a float on _number's path, where it raises
-    # OverflowError as a huge dur_ms does in the division below.
+    # through _number, which formats the message. Both bounds keep an int
+    # too large for a float on _number's path, which rejects it.
     chunks = []
     for entry in source:
         dur_ms = entry["dur_ms"]
         if type(dur_ms) is not float and type(dur_ms) is not int \
-                or not 0 < dur_ms < math.inf:
+                or not 0 < dur_ms <= _FLOAT_MAX:
             dur_ms = _number(dur_ms, f"instance {iid!r} dur_ms")
             if not dur_ms > 0:
                 raise ValueError(f"instance {iid!r} has non-positive dur_ms {dur_ms}")

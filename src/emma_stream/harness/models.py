@@ -65,6 +65,12 @@ class ToyPolicyModel(CopyModel):
     probabilities depend only on (written, last token, last payload),
     never on the instance, so one model serves a whole corpus and may be
     shared by threads: a race can only compute the same rows twice.
+
+    The answers are memoized by that triple, so a repeated state costs one
+    lookup. ``model_factory`` builds one model per top-level call, so the
+    memo holds at most one entry per policy query of the call and is freed
+    with it. It stores tuples and hands out fresh lists, so a caller that
+    mutates an answer cannot change a later one.
     """
 
     def __init__(self, heads: list[PolicyHeadParams], d: int, seed: int):
@@ -76,6 +82,18 @@ class ToyPolicyModel(CopyModel):
         self.seed = seed
         self._key_cache: dict[int, np.ndarray] = {}
         self._query_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._memo: dict[tuple[int, int, int], tuple[float, ...]] = {}
+
+    def head_probabilities(self, states, prefix: Sequence[int]) -> list[float]:
+        written = len(prefix)
+        if written >= len(states):
+            return [0.0] * self.n_heads
+        key = (written, prefix[-1] if written else EOS_TOKEN,
+               states[-1].payload)
+        probs = self._memo.get(key)
+        if probs is None:
+            probs = self._memo[key] = tuple(self._probabilities(states, prefix))
+        return list(probs)
 
     def _key_rows(self, payload: int) -> np.ndarray:
         rows = self._key_cache.get(payload)

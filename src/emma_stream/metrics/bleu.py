@@ -7,8 +7,10 @@ match counts are smoothed by successive halving of the precision
 (exponential smoothing); n-gram orders with no candidates at all end the
 precision ladder and score as hard zeros.
 
-All n-gram orders of a sentence are counted in one Counter. Every count
-is an integer, so the order of counting cannot change a score.
+All n-gram orders of a sentence are counted in one Counter. A hypothesis
+equal to its reference skips the counting: its clipped matches of order n
+are its len - n + 1 n-grams. Every count is an integer, so neither the
+order of counting nor the shortcut can change a score.
 """
 
 from __future__ import annotations
@@ -86,6 +88,10 @@ def corpus_bleu(hypotheses: Sequence, references: Sequence) -> QualityReport:
         ref_len += len(r)
         for n in range(1, min(len(h), MAX_ORDER) + 1):
             total[n] += len(h) - n + 1
+        if h == r:  # an exact copy matches each of its n-grams once
+            for n in range(1, min(len(h), MAX_ORDER) + 1):
+                correct[n] += len(h) - n + 1
+            continue
         # the intersection keeps min(hypothesis count, reference count)
         for gram, match in (_ngram_counts(h) & _ngram_counts(r)).items():
             correct[len(gram)] += match

@@ -48,7 +48,13 @@ def run_stream(model: IncrementalModel, instance: StreamInstance,
     n_chunks = len(chunks)
     threshold = config.threshold  # RuntimeConfig checked it lies in (0,1)
     units_per_token = config.units_per_token
+    unit_duration_s = config.unit_duration_s
     min_unit_chunk = config.min_unit_chunk
+    max_target_len = config.max_target_len
+    # the model's methods, bound once: the loop calls them per state
+    head_probabilities = model.head_probabilities
+    encode_prefix = model.encode_prefix
+    next_token = model.next_token
     lo, hi = -math.inf, math.inf
     states = None
     consumed = 0
@@ -56,23 +62,17 @@ def run_stream(model: IncrementalModel, instance: StreamInstance,
     outputs: list[int] = []
     delays: list[float] = []
     events: list[TraceEvent] = []
+    record = events.append
     emissions: list[Emission] = []
     pending: list[int] = []  # committed tokens awaiting emission
     truncated = False
-
-    def emit(at: float) -> None:
-        units = len(pending) * units_per_token
-        emissions.append(Emission(at, units * config.unit_duration_s,
-                                  tuple(pending)))
-        events.append(TraceEvent(at, "EMIT", None, units))
-        pending.clear()
 
     while True:
         if consumed < n_chunks:
             if consumed == 0:
                 read = True  # the first read is unconditional
             else:
-                probs = tuple(model.head_probabilities(states, outputs))
+                probs = tuple(head_probabilities(states, outputs))
                 # any NaN head reads; min() would keep it only in first place
                 lowest = (math.nan if math.isnan(sum(probs))
                           else min(probs, default=None))
@@ -88,24 +88,31 @@ def run_stream(model: IncrementalModel, instance: StreamInstance,
             if read:
                 sim_time += chunks[consumed].duration_s
                 consumed += 1
-                states = model.encode_prefix(PrefixView(chunks, consumed))
-                events.append(TraceEvent(sim_time, READ))
+                states = encode_prefix(PrefixView(chunks, consumed))
+                record(TraceEvent(sim_time, READ))
                 continue
-        if len(outputs) >= config.max_target_len:
+        if len(outputs) >= max_target_len:
             truncated = True
             break
-        token = int(model.next_token(states, outputs))
+        token = int(next_token(states, outputs))
         if token == EOS_TOKEN:
             break
         outputs.append(token)
         delays.append(sim_time)
-        events.append(TraceEvent(sim_time, WRITE, token))
+        record(TraceEvent(sim_time, WRITE, token))
         pending.append(token)
-        if len(pending) * units_per_token >= min_unit_chunk:
-            emit(sim_time)
-    if pending:
-        emit(sim_time)  # flush units below the minimum chunk size
-    events.append(TraceEvent(sim_time, "FINISH"))
+        units = len(pending) * units_per_token
+        if units >= min_unit_chunk:
+            emissions.append(Emission(sim_time, units * unit_duration_s,
+                                      tuple(pending)))
+            record(TraceEvent(sim_time, "EMIT", None, units))
+            pending.clear()
+    if pending:  # flush units below the minimum chunk size
+        units = len(pending) * units_per_token
+        emissions.append(Emission(sim_time, units * unit_duration_s,
+                                  tuple(pending)))
+        record(TraceEvent(sim_time, "EMIT", None, units))
+    record(TraceEvent(sim_time, "FINISH"))
     return DecisionTrace(
         instance_id=instance.id,
         source_duration_s=instance.source_duration_s,

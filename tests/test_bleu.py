@@ -131,6 +131,22 @@ def test_components_equal_the_oracle_scan_counts():
              for _ in range(size)],
             [[rng.choice(vocab) for _ in range(rng.randint(1, 9))]
              for _ in range(size)]))
+    # exact copies (empty, short and long) skip the counting; mix them with
+    # differing pairs
+    copies = [[], ["a"], ["a", "b"], ["b", "b", "b"], [1, 2, 1],
+              [rng.choice(vocab) for _ in range(40)]]
+    for _ in range(200):
+        pairs = []
+        for _ in range(rng.randint(1, 6)):
+            if rng.random() < 0.5:
+                copy = rng.choice(copies)
+                pairs.append((tuple(copy), list(copy)))
+            else:
+                pairs.append(([rng.choice(vocab)
+                               for _ in range(rng.randint(0, 9))],
+                              [rng.choice(vocab)
+                               for _ in range(rng.randint(1, 9))]))
+        corpora.append(tuple(list(side) for side in zip(*pairs)))
     for hyps, refs in corpora:
         got = corpus_bleu(hyps, refs)
         precisions, sys_len, ref_len = oracle_components(hyps, refs)

@@ -1,8 +1,10 @@
 """Corpus ingestion, evaluation, sweeps, training, reports, and the CLI."""
 
+import gc
 import hashlib
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +25,8 @@ from emma_stream.harness import evaluate, training
 from emma_stream.harness.cli import main
 from emma_stream.harness.models import ToyPolicyModel, _hash_rng, _sigmoid
 from emma_stream.harness.training import ToyTrainConfig, train_single
+from emma_stream.metrics import (average_lagging,
+                                 length_adaptive_average_lagging)
 from emma_stream.numerics.matrix import sigmoid
 from emma_stream.runtime import (EOS_TOKEN, RuntimeConfig, SourceChunk,
                                  StreamInstance, run_stream,
@@ -30,10 +34,21 @@ from emma_stream.runtime import (EOS_TOKEN, RuntimeConfig, SourceChunk,
 from emma_stream.runtime.models import CopyModel
 
 
+class RawLine(str):
+    """A JSONL line written as it is, not through ``json.dumps``."""
+
+
 def write_jsonl(path, entries):
-    path.write_text("".join(json.dumps(e) + "\n" for e in entries),
-                    encoding="utf-8")
+    path.write_text("".join((e if isinstance(e, RawLine) else json.dumps(e))
+                            + "\n" for e in entries), encoding="utf-8")
     return path
+
+
+def digit_limit_message(digits):
+    """Python's own error text for an int literal of ``digits`` digits."""
+    with pytest.raises(ValueError) as err:
+        int("7" * digits)
+    return str(err.value)
 
 
 def copy_corpus_path(tmp_path, n=10, length=6, chunk_ms=1000.0, seed=3):
@@ -137,6 +152,22 @@ BAD_LINES = {
     "int-id": (dict(REGULAR, id=7), "instance id must be a string, got 7"),
     "list-instance": ([REGULAR],
                       "list indices must be integers or slices, not str"),
+    # an int too large for a float is rejected, not an OverflowError
+    "huge-int-dur": (with_entry(dur_ms=10**400, token=2),
+                     "instance 'a' dur_ms must be a finite float, "
+                     "got an int of 401 digits"),
+    "huge-int-token": (with_entry(dur_ms=2.5, token=-10**400),
+                       "instance 'a' token must be a finite int, "
+                       "got an int of 401 digits"),
+    "huge-int-reference": (
+        dict(REGULAR, reference=[1, 10**400]),
+        "instance 'a' reference token must be a finite int, "
+        "got an int of 401 digits"),
+    # json.loads raises a plain ValueError past the int-string digit limit
+    "over-long-int-literal": (
+        RawLine('{"id": "a", "source": [{"dur_ms": 10, "token": %s}], '
+                '"reference": [1]}' % ("7" * 5000)),
+        f"not valid JSON ({digit_limit_message(5000)})"),
 }
 
 
@@ -295,6 +326,29 @@ def test_toy_trained_model_evaluates(tmp_path):
     res = evaluate_corpus(m)
     assert res.n_instances == 4
     assert res.quality.bleu == pytest.approx(100.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("ref_len", [3, 6, 9],
+                         ids=["hyp-longer", "hyp-equal", "hyp-shorter"])
+def test_scored_laal_is_the_metric_at_any_length(ref_len):
+    # six outputs against three, six or nine references: LAAL reuses AL only
+    # where max(ref_len, hyp_len) is ref_len, and always equals the metric
+    rng = np.random.default_rng(ref_len)
+    for k in range(20):
+        durations = rng.uniform(0.01, 2.0, size=6).tolist()
+        inst = StreamInstance(f"i{k}", tuple(SourceChunk(d, 1 + j) for j, d
+                                             in enumerate(durations)),
+                              tuple(range(1, ref_len + 1)))
+        model = scripted_probability_model(
+            lambda w, c, u=rng.uniform(size=(8, 8)): [u[w][c]])
+        trace = run_stream(model, inst, RuntimeConfig(threshold=0.5))
+        assert len(trace.delays) == 6
+        scored = evaluate._score_trace(inst, trace)
+        duration = inst.source_duration_s
+        assert scored.latency.al == average_lagging(trace.delays, duration,
+                                                    ref_len)
+        assert scored.latency.laal == length_adaptive_average_lagging(
+            trace.delays, duration, ref_len, len(trace.delays))
 
 
 # -- threshold sweep ----------------------------------------------------------
@@ -601,6 +655,63 @@ def test_toy_model_probabilities_are_the_stepwise_formula(tmp_path):
                 for head in shared.heads]
             checked += 1
     assert checked > 0
+
+
+def test_toy_model_computes_each_state_once_per_call(tmp_path, monkeypatch):
+    corpus = write_corpus(generate_corpus(40, 200, 40.0, vocab=50, seed=7),
+                          tmp_path / "long.jsonl")
+    manifest = Manifest(instances=corpus, model_kind="toy_trained",
+                        model_parameters={"steps": 20}, seed=7)
+    compute = ToyPolicyModel._probabilities
+    computed = []
+
+    def counted(self, states, prefix):
+        computed.append((len(prefix), prefix[-1] if prefix else EOS_TOKEN,
+                         states[-1].payload))
+        return compute(self, states, prefix)
+
+    build = evaluate.model_factory
+    recorders = []
+
+    def recording_factory(*args):
+        factory = build(*args)
+
+        def model(inst):
+            recorders.append(RecordingModel(factory(inst)))
+            return recorders[-1]
+        return model
+
+    monkeypatch.setattr(ToyPolicyModel, "_probabilities", counted)
+    monkeypatch.setattr(evaluate, "model_factory", recording_factory)
+    evaluate_corpus(manifest)
+    shared = recorders[0].model
+    queries = [q for recorder in recorders for q in recorder.queries]
+    asked = {(len(prefix), prefix[-1] if prefix else EOS_TOKEN,
+              states[-1].payload)
+             for states, prefix, _ in queries if len(prefix) < len(states)}
+    # one computation per distinct state, and the corpus repeats states
+    assert sorted(computed) == sorted(asked)
+    assert len(queries) > len(asked)
+    fresh = ToyPolicyModel(shared.heads, shared.d, shared.seed)
+    for states, prefix, ps in queries:
+        assert ps == (compute(fresh, states, prefix)
+                      if len(prefix) < len(states) else [0.0] * fresh.n_heads)
+    # the memo lives on the model, and the call keeps no model alive
+    assert shared._memo
+    alive = weakref.ref(shared)
+    del shared, recorders[:], queries
+    gc.collect()
+    assert alive() is None
+
+
+def test_toy_model_answer_is_a_fresh_list(tmp_path):
+    shared, runs = shared_toy_queries(toy_manifest(tmp_path), 0.5)
+    states, prefix, ps = next(q for q in runs[0] if len(q[1]) < len(q[0]))
+    answer = shared.head_probabilities(states, prefix)
+    assert type(answer) is list and answer == ps and answer is not ps
+    answer[0] = 2.0
+    answer.append(3.0)
+    assert shared.head_probabilities(states, prefix) == ps
 
 
 @pytest.mark.parametrize("written,consumed,pinned", [
@@ -1063,6 +1174,7 @@ def test_cli_corrupt_corpus_exits_1(tmp_path, capsys):
     ("instances", ""),
     ("instances", "."),
     ("seed", -1),
+    pytest.param("seed", 10**400, id="seed-huge-int"),
 ])
 def test_cli_malformed_manifest_exits_2_with_one_line(tmp_path, capsys,
                                                       field, value):
@@ -1077,7 +1189,9 @@ def test_cli_malformed_manifest_exits_2_with_one_line(tmp_path, capsys,
     assert field in err
 
 
-@pytest.mark.parametrize("dur_ms", ["1e400", "true"])
+@pytest.mark.parametrize("dur_ms", [
+    "1e400", "true", pytest.param("1" + "0" * 400, id="huge-int"),
+    pytest.param("7" * 5000, id="over-long-int-literal")])
 def test_cli_bad_duration_exits_1_without_report(tmp_path, capsys, dur_ms):
     good = '{"id": "a", "source": [{"dur_ms": 10, "token": 1}], "reference": [1]}'
     bad = ('{"id": "b", "source": [{"dur_ms": %s, "token": 1}], '
