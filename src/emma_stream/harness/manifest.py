@@ -9,7 +9,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..errors import CorpusError
-from ..runtime.types import RuntimeConfig, SourceChunk, StreamInstance
+from ..runtime.types import (RuntimeConfig, SourceChunk, StreamInstance,
+                             _positive_chunk)
 
 __all__ = ["Manifest", "load_instances", "model_parameters"]
 
@@ -215,7 +216,9 @@ def _parse_instance(raw: dict) -> StreamInstance:
         raise ValueError(f"instance {iid!r} has an empty source")
     # A regular field passes an inline type and range test; only the rest go
     # through _number, which formats the message. Both bounds keep an int
-    # too large for a float on _number's path, which rejects it.
+    # too large for a float on _number's path, which rejects it. A chunk
+    # whose duration in seconds tests positive skips SourceChunk's own
+    # check; any other (a dur_ms that underflows to 0.0) raises its error.
     chunks = []
     for entry in source:
         dur_ms = entry["dur_ms"]
@@ -228,7 +231,8 @@ def _parse_instance(raw: dict) -> StreamInstance:
         token = entry["token"]
         if type(token) is not int or not -2**63 <= token < 2**63:
             token = _number(token, f"instance {iid!r} token", int)
-        chunks.append(SourceChunk(duration_s, token))
+        chunks.append(_positive_chunk(duration_s, token) if duration_s > 0
+                      else SourceChunk(duration_s, token))
     reference = tuple(
         t if type(t) is int and -2**63 <= t < 2**63
         else _number(t, f"instance {iid!r} reference token", int)

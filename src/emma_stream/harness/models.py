@@ -21,7 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..emma.params import PolicyHeadParams
+from ..emma.params import FeedForward, PolicyHeadParams
+from ..numerics.policy import ffn_forward
 from ..runtime.models import (CopyModel, scripted_probability_model,
                               scripted_waitk_model)
 from ..runtime.types import EOS_TOKEN, IncrementalModel, StreamInstance
@@ -56,12 +57,14 @@ class ToyPolicyModel(CopyModel):
     from (position, last committed token). The stepwise probability of each
     head is evaluated against the row of the latest consumed payload.
 
-    The projected rows of all heads are cached stacked: key rows
-    ``ffn_h(embed(payload))`` by payload as one (H, d_k, 1) array, query
-    rows ``ffn_s(embed(position, last token))`` by that pair as one
-    (H, 1, d_k) array, so a query is two lookups and one stacked matmul
-    for all H logits. numpy runs the same dot kernel on every slice, so
-    each logit equals its head's own ``(q @ k).item()`` bit for bit. The
+    The heads share one layout, so their FFN layers are stacked once and a
+    new row goes through all H heads in one ``ffn_forward``. The projected
+    rows are cached stacked: key rows ``ffn_h(embed(payload))`` by payload
+    as one (H, d_k, 1) array, query rows ``ffn_s(embed(position, last
+    token))`` by that pair as one (H, 1, d_k) array, so a query is two
+    lookups and one stacked matmul for all H logits. numpy runs the same
+    kernels on every slice, so each row and logit equals its head's own
+    ``(ffn_s.apply(s) @ ffn_h.apply(h).T).item()`` bit for bit. The
     probabilities depend only on (written, last token, last payload),
     never on the instance, so one model serves a whole corpus and may be
     shared by threads: a race can only compute the same rows twice.
@@ -80,43 +83,58 @@ class ToyPolicyModel(CopyModel):
         self.n_heads = len(self.heads)
         self.d = d
         self.seed = seed
+        self._ffn_s = _stacked([head.ffn_s for head in self.heads])
+        self._ffn_h = _stacked([head.ffn_h for head in self.heads])
+        self._scales = [(head.bias, head.temperature) for head in self.heads]
         self._key_cache: dict[int, np.ndarray] = {}
         self._query_cache: dict[tuple[int, int], np.ndarray] = {}
         self._memo: dict[tuple[int, int, int], tuple[float, ...]] = {}
 
     def head_probabilities(self, states, prefix: Sequence[int]) -> list[float]:
-        written = len(prefix)
-        if written >= len(states):
+        written, consumed = len(prefix), states.n
+        if written >= consumed:
             return [0.0] * self.n_heads
         key = (written, prefix[-1] if written else EOS_TOKEN,
-               states[-1].payload)
+               states.items[consumed - 1].payload)
         probs = self._memo.get(key)
         if probs is None:
             probs = self._memo[key] = tuple(self._probabilities(states, prefix))
         return list(probs)
 
-    def _key_rows(self, payload: int) -> np.ndarray:
-        rows = self._key_cache.get(payload)
-        if rows is None:
-            h_row = _hash_rng(self.seed, "src", payload).standard_normal((1, self.d))
-            rows = np.stack([head.ffn_h.apply(h_row).T for head in self.heads])
-            self._key_cache[payload] = rows
-        return rows
-
-    def _query_rows(self, prefix: Sequence[int]) -> np.ndarray:
-        key = (len(prefix), prefix[-1] if prefix else EOS_TOKEN)
-        rows = self._query_cache.get(key)
-        if rows is None:
-            s_row = _hash_rng(self.seed, "dec", *key).standard_normal((1, self.d))
-            rows = np.stack([head.ffn_s.apply(s_row) for head in self.heads])
-            self._query_cache[key] = rows
-        return rows
+    def _rows(self, layers, *parts) -> np.ndarray:
+        """(H, 1, d_k): every head's FFN of the row embedded from ``parts``."""
+        row = _hash_rng(self.seed, *parts).standard_normal((1, self.d))
+        return ffn_forward(row, layers)[-1]
 
     def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
-        logits = np.matmul(self._query_rows(prefix),
-                           self._key_rows(states[-1].payload)).ravel().tolist()
-        return [_sigmoid((logit + head.bias) / head.temperature)
-                for head, logit in zip(self.heads, logits)]
+        written = len(prefix)
+        query = (written, prefix[-1] if written else EOS_TOKEN)
+        payload = states.items[states.n - 1].payload
+        queries = self._query_cache.get(query)
+        if queries is None:
+            queries = self._query_cache[query] = self._rows(
+                self._ffn_s, "dec", *query)
+        keys = self._key_cache.get(payload)
+        if keys is None:
+            keys = self._key_cache[payload] = self._rows(
+                self._ffn_h, "src", payload).reshape(self.n_heads, -1, 1)
+        probs = []
+        for logit, (bias, temperature) in zip(
+                np.matmul(queries, keys).ravel().tolist(), self._scales):
+            x = (logit + bias) / temperature  # _sigmoid(x), inlined
+            if x >= 0:
+                probs.append(1.0 / (1.0 + math.exp(-x)))
+            else:
+                e = math.exp(x)
+                probs.append(e / (1.0 + e))
+        return probs
+
+
+def _stacked(ffns: list[FeedForward]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The layers of equally shaped FFNs as H-stacked (weight, bias) pairs."""
+    return [(np.stack(weights), np.stack(biases)) for weights, biases in zip(
+        zip(*(f.weights for f in ffns), strict=True),
+        zip(*(f.biases for f in ffns), strict=True))]
 
 
 def model_factory(kind: str, parameters: dict, seed: int) -> Callable[[StreamInstance], IncrementalModel]:

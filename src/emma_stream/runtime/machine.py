@@ -55,6 +55,9 @@ def run_stream(model: IncrementalModel, instance: StreamInstance,
     head_probabilities = model.head_probabilities
     encode_prefix = model.encode_prefix
     next_token = model.next_token
+    # tuple.__new__(Record, fields), every field given, builds the record
+    # that Record(*fields) builds, without the generated Python __new__
+    new_record = tuple.__new__
     lo, hi = -math.inf, math.inf
     states = None
     consumed = 0
@@ -89,7 +92,7 @@ def run_stream(model: IncrementalModel, instance: StreamInstance,
                 sim_time += chunks[consumed].duration_s
                 consumed += 1
                 states = encode_prefix(PrefixView(chunks, consumed))
-                record(TraceEvent(sim_time, READ))
+                record(new_record(TraceEvent, (sim_time, READ, None, None)))
                 continue
         if len(outputs) >= max_target_len:
             truncated = True
@@ -99,20 +102,20 @@ def run_stream(model: IncrementalModel, instance: StreamInstance,
             break
         outputs.append(token)
         delays.append(sim_time)
-        record(TraceEvent(sim_time, WRITE, token))
+        record(new_record(TraceEvent, (sim_time, WRITE, token, None)))
         pending.append(token)
         units = len(pending) * units_per_token
         if units >= min_unit_chunk:
-            emissions.append(Emission(sim_time, units * unit_duration_s,
-                                      tuple(pending)))
-            record(TraceEvent(sim_time, "EMIT", None, units))
+            emissions.append(new_record(Emission, (
+                sim_time, units * unit_duration_s, tuple(pending))))
+            record(new_record(TraceEvent, (sim_time, "EMIT", None, units)))
             pending.clear()
     if pending:  # flush units below the minimum chunk size
         units = len(pending) * units_per_token
-        emissions.append(Emission(sim_time, units * unit_duration_s,
-                                  tuple(pending)))
-        record(TraceEvent(sim_time, "EMIT", None, units))
-    record(TraceEvent(sim_time, "FINISH"))
+        emissions.append(new_record(Emission, (
+            sim_time, units * unit_duration_s, tuple(pending))))
+        record(new_record(TraceEvent, (sim_time, "EMIT", None, units)))
+    record(new_record(TraceEvent, (sim_time, "FINISH", None, None)))
     return DecisionTrace(
         instance_id=instance.id,
         source_duration_s=instance.source_duration_s,

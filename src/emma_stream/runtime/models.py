@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Sequence
 
-from .types import EOS_TOKEN, SourceChunk
+from .types import EOS_TOKEN, PrefixView, SourceChunk
 
 __all__ = ["CopyModel", "scripted_waitk_model", "scripted_probability_model"]
 
@@ -19,7 +19,10 @@ __all__ = ["CopyModel", "scripted_waitk_model", "scripted_probability_model"]
 class CopyModel:
     """Copy core of every built-in model: the states are the chunk view
     the loop hands ``encode_prefix`` (an O(1) :class:`PrefixView` of the
-    consumed chunks), kept as it is, not copied or wrapped.
+    consumed chunks), kept as it is, not copied or wrapped. Any other
+    sequence of chunks is wrapped once in a view of its tuple, so the
+    states are always a view and are read through its ``n`` and
+    ``items`` slots.
 
     ``next_token`` copies the payload of the first chunk not yet copied
     and returns EOS once every consumed payload has been copied. With
@@ -30,18 +33,23 @@ class CopyModel:
 
     n_heads = 1
 
-    def encode_prefix(self, chunks: Sequence[SourceChunk]) -> Sequence[SourceChunk]:
-        return chunks
+    def encode_prefix(self, chunks: Sequence[SourceChunk]) -> PrefixView:
+        if isinstance(chunks, PrefixView):
+            return chunks
+        chunks = tuple(chunks)
+        return PrefixView(chunks, len(chunks))
 
-    def head_probabilities(self, states, prefix: Sequence[int]) -> list[float]:
-        if len(prefix) >= len(states):
+    def head_probabilities(self, states: PrefixView,
+                           prefix: Sequence[int]) -> list[float]:
+        if len(prefix) >= states.n:
             return [0.0] * self.n_heads
         return self._probabilities(states, prefix)
 
-    def next_token(self, states, prefix: Sequence[int]) -> int:
-        if len(prefix) >= len(states):
+    def next_token(self, states: PrefixView, prefix: Sequence[int]) -> int:
+        written = len(prefix)
+        if written >= states.n:
             return EOS_TOKEN
-        return states[len(prefix)].payload
+        return states.items[written].payload
 
     def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
         raise NotImplementedError
@@ -58,7 +66,7 @@ class _ScriptedProbability(CopyModel):
         self.prob_fn = prob_fn
 
     def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
-        return list(self.prob_fn(len(prefix), len(states)))
+        return list(self.prob_fn(len(prefix), states.n))
 
 
 def scripted_probability_model(prob_fn: Callable[[int, int], Sequence[float]]):

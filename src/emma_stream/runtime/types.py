@@ -35,6 +35,23 @@ class SourceChunk:
             raise ValueError(f"chunk duration must be positive, got {self.duration_s}")
 
 
+_new_object = object.__new__
+_set_duration = SourceChunk.duration_s.__set__
+_set_payload = SourceChunk.payload.__set__
+
+
+def _positive_chunk(duration_s: float, payload: int) -> SourceChunk:
+    """``SourceChunk(duration_s, payload)`` for a caller that has already
+    tested ``duration_s > 0``: it fills the two slots directly and skips
+    the generated ``__init__`` and ``__post_init__``. The corpus loader
+    builds its chunks with it; each is a plain, frozen SourceChunk.
+    """
+    chunk = _new_object(SourceChunk)
+    _set_duration(chunk, duration_s)
+    _set_payload(chunk, payload)
+    return chunk
+
+
 @dataclass(frozen=True)
 class StreamInstance:
     id: str
@@ -57,28 +74,32 @@ class PrefixView(SequenceABC):
     with the results the tuple ``tuple(items[:n])`` would give, and compares
     equal to that tuple. ``items`` must not change while the view is used;
     an instance's chunk tuple never does.
+
+    The two slots ``items`` and ``n`` are public so that a hot caller can
+    read ``view.n`` and ``view.items[k]`` (k < n) without the Python
+    ``__len__`` and ``__getitem__``; they are read-only by contract.
     """
 
-    __slots__ = ("_items", "_n")
+    __slots__ = ("items", "n")
 
     def __init__(self, items: Sequence, n: int):
         if not 0 <= n <= len(items):
             raise ValueError(f"prefix length {n} outside 0..{len(items)}")
-        self._items = items
-        self._n = n
+        self.items = items
+        self.n = n
 
     def __len__(self) -> int:
-        return self._n
+        return self.n
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(self._items[i] for i in range(self._n)[index])
-        if not -self._n <= index < self._n:
+            return tuple(self.items[i] for i in range(self.n)[index])
+        if not -self.n <= index < self.n:
             raise IndexError("prefix index out of range")
-        return self._items[index % self._n]
+        return self.items[index % self.n]
 
     def __iter__(self):
-        return itertools.islice(self._items, self._n)
+        return itertools.islice(self.items, self.n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (PrefixView, tuple)):
@@ -129,7 +150,7 @@ class IncrementalModel(Protocol):
     Implementations must be deterministic given identical call history.
     The built-in models (``runtime.models.CopyModel``) keep the view they
     are handed as their states and read each chunk's payload from it, so
-    encoding a prefix is O(1) too.
+    encoding a prefix is O(1) too; any other sequence they wrap once.
     """
 
     def encode_prefix(self, chunks: Sequence[SourceChunk]):

@@ -28,8 +28,8 @@ from emma_stream.harness.training import ToyTrainConfig, train_single
 from emma_stream.metrics import (average_lagging,
                                  length_adaptive_average_lagging)
 from emma_stream.numerics.matrix import sigmoid
-from emma_stream.runtime import (EOS_TOKEN, RuntimeConfig, SourceChunk,
-                                 StreamInstance, run_stream,
+from emma_stream.runtime import (EOS_TOKEN, PrefixView, RuntimeConfig,
+                                 SourceChunk, StreamInstance, run_stream,
                                  scripted_probability_model)
 from emma_stream.runtime.models import CopyModel
 
@@ -194,6 +194,26 @@ def test_load_regular_lines(tmp_path, raw, expected):
                                   reference)
     assert all(type(c.duration_s) is float and type(c.payload) is int
                for c in inst.source_chunks)
+
+
+def test_loaded_chunks_are_plain_frozen_source_chunks(tmp_path):
+    corpus = write_corpus(generate_corpus(4, 6, 40.0, vocab=9, seed=5),
+                          tmp_path / "corpus.jsonl")
+    lines = load_instances(corpus) + load_instances(
+        write_jsonl(tmp_path / "one.jsonl", [REGULAR]))
+    chunks = [c for inst in lines for c in inst.source_chunks]
+    assert len(chunks) == 4 * 6 + 2
+    for c in chunks:
+        made = SourceChunk(c.duration_s, c.payload)
+        assert type(c) is SourceChunk
+        assert c == made and hash(c) == hash(made) and repr(c) == repr(made)
+        for name in ("duration_s", "payload"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, 1)
+        assert replace(c, payload=c.payload + 1) == SourceChunk(
+            c.duration_s, c.payload + 1)
+        with pytest.raises(ValueError, match="chunk duration must be positive"):
+            replace(c, duration_s=0.0)
 
 
 # -- manifest -----------------------------------------------------------------
@@ -754,23 +774,34 @@ class EncodeRecorder:
         return self.model.next_token(states, prefix)
 
 
-@pytest.mark.parametrize("kind,parameters", [
+BUILT_IN_MODELS = pytest.mark.parametrize("kind,parameters", [
     ("scripted_waitk", {"k": 3}),
     ("scripted_stochastic", {}),
     ("toy_trained", {"steps": 5}),
     ("scripted_probability", None),
 ])
+
+
+def payload_instance():
+    payloads = tuple(int(v) for v in np.random.default_rng(4).integers(1, 50, 12))
+    return StreamInstance("p", tuple(SourceChunk(0.1, v) for v in payloads),
+                          payloads)
+
+
+def built_in_model(kind, parameters, inst):
+    if parameters is None:
+        return scripted_probability_model(lambda w, c: [0.3 + 0.4 * (c % 2)])
+    return model_factory(kind, parameters, 7)(inst)
+
+
+@BUILT_IN_MODELS
 def test_models_see_the_payloads_of_the_read_prefix(kind, parameters):
     # after j reads a built-in model's states are the view of the first j
     # chunks it was handed, whose payloads are the first j payloads, and
     # they stay so while later reads extend the prefix
-    payloads = tuple(int(v) for v in np.random.default_rng(4).integers(1, 50, 12))
-    inst = StreamInstance("p", tuple(SourceChunk(0.1, v) for v in payloads),
-                          payloads)
-    if parameters is None:
-        model = scripted_probability_model(lambda w, c: [0.3 + 0.4 * (c % 2)])
-    else:
-        model = model_factory(kind, parameters, 7)(inst)
+    inst = payload_instance()
+    payloads = inst.reference
+    model = built_in_model(kind, parameters, inst)
     recording = EncodeRecorder(model)
     run_stream(recording, inst, RuntimeConfig())
     assert [len(view) for view, _, _ in recording.encodes] == list(range(1, 13))
@@ -781,6 +812,25 @@ def test_models_see_the_payloads_of_the_read_prefix(kind, parameters):
         assert tuple(c.payload for c in states) == payloads[:j]
         assert states[-1].payload == payloads[j - 1]
         assert states[:2] == inst.source_chunks[:j][:2]
+
+
+@BUILT_IN_MODELS
+def test_models_answer_a_plain_tuple_like_its_view(kind, parameters):
+    # a model handed a plain tuple of chunks wraps it once and answers as
+    # a model handed the view of the same prefix; a view is kept as it is
+    inst = payload_instance()
+    chunks = inst.source_chunks
+    by_tuple, by_view = (built_in_model(kind, parameters, inst) for _ in "ab")
+    for consumed in range(1, len(chunks) + 1):
+        view = PrefixView(chunks, consumed)
+        assert by_view.encode_prefix(view) is view
+        from_tuple = by_tuple.encode_prefix(chunks[:consumed])
+        assert from_tuple == view and len(from_tuple) == consumed
+        for written in range(consumed + 2):
+            prefix = list(inst.reference[:written])
+            for ask in ("head_probabilities", "next_token"):
+                assert (getattr(by_tuple, ask)(from_tuple, prefix)
+                        == getattr(by_view, ask)(view, prefix))
 
 
 def test_sweep_loads_and_builds_the_model_once(tmp_path, monkeypatch):

@@ -389,6 +389,30 @@ def test_trace_records_are_tuples_with_defaults():
     assert Emission(1.0, 0.04, (4,)) == (1.0, 0.04, (4,))
 
 
+@pytest.mark.parametrize("config", [
+    RuntimeConfig(),
+    RuntimeConfig(min_unit_chunk=4, units_per_token=3),  # gated and flushed
+    RuntimeConfig(max_target_len=2),  # truncated
+])
+def test_run_stream_records_are_the_named_records(config):
+    trace = run_stream(scripted_waitk_model(1), instance_of(5), config)
+    kinds = {event.kind for event in trace.events}
+    assert {READ, WRITE, "EMIT", "FINISH"} <= kinds and trace.emissions
+    for kind, records in ((TraceEvent, trace.events),
+                          (Emission, trace.emissions)):
+        for record in records:
+            assert type(record) is kind
+            fields = record._asdict()
+            assert list(fields) == list(kind._fields)
+            assert record == kind(**fields) and hash(record) == hash(kind(**fields))
+            assert record._replace() == record
+    event, emission = trace.events[0], trace.emissions[0]
+    assert event._replace(kind=WRITE, token=3) == TraceEvent(
+        event.sim_time_s, WRITE, 3, None)
+    assert emission._replace(tokens=(9,)) == Emission(
+        emission.emit_time_s, emission.playback_duration_s, (9,))
+
+
 def test_trace_lines_roundtrip():
     import json
     trace = run_stream(scripted_waitk_model(1), instance_of(3), RuntimeConfig())
