@@ -49,20 +49,23 @@ class Manifest:
         try:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
-            raise ValueError(f"manifest not found: {path}")
+            raise ValueError(f"manifest not found: {str(path)!r}")
         except json.JSONDecodeError as exc:
-            raise ValueError(f"manifest {path} is not valid JSON: {exc}")
+            raise ValueError(f"manifest {str(path)!r} is not valid JSON: {exc}")
         if not isinstance(raw, dict) or "instances" not in raw:
-            raise ValueError(f"manifest {path} must be an object with 'instances'")
+            raise ValueError(f"manifest {str(path)!r} must be an object with "
+                             "'instances'")
         if not isinstance(raw["instances"], str):
-            raise ValueError(f"manifest {path}: 'instances' must be a path string")
+            raise ValueError(f"manifest {str(path)!r}: 'instances' must be a "
+                             "path string")
         instances = Path(raw["instances"])
         if not instances.is_absolute():
             instances = path.parent / instances
         if not instances.exists():
-            raise ValueError(f"instance file does not exist: {instances}")
+            raise ValueError(f"instance file does not exist: {str(instances)!r}")
         if not instances.is_file():
-            raise ValueError(f"instances must name a regular file: {instances}")
+            raise ValueError("instances must name a regular file: "
+                             f"{str(instances)!r}")
         model = _object(raw.get("model", {}), "model")
         sweep = raw.get("sweep", [])
         if not isinstance(sweep, list):

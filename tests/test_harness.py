@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from emma_stream.emma.alignment import stepwise_probability
@@ -1497,6 +1497,7 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(raw=manifests)
+@example(raw={"instances": "\n"})
 def test_fuzz_manifest_valid_or_one_line_value_error(fuzz_dir, raw):
     path = fuzz_dir / "manifest.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
