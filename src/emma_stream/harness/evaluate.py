@@ -149,8 +149,6 @@ def _score_corpus(instances, factory, configs, workers: int,
     and aggregate each threshold in instance-id order.
 
     The first threshold at which every instance failed raises CorpusError.
-    A threshold whose scored hypotheses and references equal the previous
-    threshold's reuses its quality report.
     """
 
     def score(instance):
@@ -163,7 +161,6 @@ def _score_corpus(instances, factory, configs, workers: int,
             per_instance = list(pool.map(score, instances))
 
     results = []
-    previous = None  # (hypotheses, references, quality) of the last row
     for k, config in enumerate(configs):
         outcomes = [row[k] for row in per_instance]
         scored = sorted((o for o in outcomes if isinstance(o, _Scored)),
@@ -173,13 +170,8 @@ def _score_corpus(instances, factory, configs, workers: int,
         if not scored:
             raise CorpusError(f"all {len(instances)} instances failed; "
                               f"first: {failures[0][1]}")
-        hypotheses = [s.hypothesis for s in scored]
-        references = [s.reference for s in scored]
-        if previous is not None and previous[:2] == (hypotheses, references):
-            quality = previous[2]
-        else:
-            quality = corpus_bleu(hypotheses, references)
-        previous = (hypotheses, references, quality)
+        quality = corpus_bleu([s.hypothesis for s in scored],
+                              [s.reference for s in scored])
         latency = build_latency_report(s.latency for s in scored)
         results.append(CorpusResult(threshold=config.threshold,
                                     latency=latency, quality=quality,

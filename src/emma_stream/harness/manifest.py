@@ -9,8 +9,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..errors import CorpusError
-from ..runtime.types import (RuntimeConfig, SourceChunk, StreamInstance,
-                             _positive_chunk)
+from ..runtime.types import RuntimeConfig, SourceChunk, StreamInstance
 
 __all__ = ["Manifest", "load_instances", "model_parameters"]
 
@@ -180,7 +179,7 @@ def load_instances(path: str | Path) -> list[StreamInstance]:
     One object per line: {"id": str, "source": [{"dur_ms": ms, "token": id},
     ...], "reference": [id, ...]}. Durations arrive in milliseconds and are
     stored in seconds. An id names its trace file, so it must be a plain
-    file name.
+    file name: not empty, ``.`` or ``..``, and free of ``/``, ``\\``, NUL.
     """
     path = Path(path)
     instances: list[StreamInstance] = []
@@ -212,16 +211,15 @@ def _parse_instance(raw: dict) -> StreamInstance:
     iid = raw["id"]
     if not isinstance(iid, str):
         raise ValueError(f"instance id must be a string, got {iid!r}")
-    if iid in ("", ".", "..") or "/" in iid or "\\" in iid:
+    if iid in ("", ".", "..") or "/" in iid or "\\" in iid or "\0" in iid:
         raise ValueError(f"instance id {iid!r} is not a plain file name")
     source = raw["source"]
     if not source:
         raise ValueError(f"instance {iid!r} has an empty source")
     # A regular field passes an inline type and range test; only the rest go
     # through _number, which formats the message. Both bounds keep an int
-    # too large for a float on _number's path, which rejects it. A chunk
-    # whose duration in seconds tests positive skips SourceChunk's own
-    # check; any other (a dur_ms that underflows to 0.0) raises its error.
+    # too large for a float on _number's path, which rejects it. A dur_ms
+    # that underflows to 0.0 seconds raises SourceChunk's own error.
     chunks = []
     for entry in source:
         dur_ms = entry["dur_ms"]
@@ -234,8 +232,7 @@ def _parse_instance(raw: dict) -> StreamInstance:
         token = entry["token"]
         if type(token) is not int or not -2**63 <= token < 2**63:
             token = _number(token, f"instance {iid!r} token", int)
-        chunks.append(_positive_chunk(duration_s, token) if duration_s > 0
-                      else SourceChunk(duration_s, token))
+        chunks.append(SourceChunk(duration_s, token))
     reference = tuple(
         t if type(t) is int and -2**63 <= t < 2**63
         else _number(t, f"instance {iid!r} reference token", int)

@@ -72,8 +72,8 @@ class ToyPolicyModel(CopyModel):
     The answers are memoized by that triple, so a repeated state costs one
     lookup. ``model_factory`` builds one model per top-level call, so the
     memo holds at most one entry per policy query of the call and is freed
-    with it. It stores tuples and hands out fresh lists, so a caller that
-    mutates an answer cannot change a later one.
+    with it. The answer is the memo's tuple itself, so a repeated state
+    returns the same object, which no caller can mutate.
     """
 
     def __init__(self, heads: list[PolicyHeadParams], d: int, seed: int):
@@ -90,23 +90,23 @@ class ToyPolicyModel(CopyModel):
         self._query_cache: dict[tuple[int, int], np.ndarray] = {}
         self._memo: dict[tuple[int, int, int], tuple[float, ...]] = {}
 
-    def head_probabilities(self, states, prefix: Sequence[int]) -> list[float]:
+    def head_probabilities(self, states, prefix: Sequence[int]) -> tuple[float, ...]:
         written, consumed = len(prefix), states.n
         if written >= consumed:
-            return [0.0] * self.n_heads
+            return (0.0,) * self.n_heads
         key = (written, prefix[-1] if written else EOS_TOKEN,
                states.items[consumed - 1].payload)
         probs = self._memo.get(key)
         if probs is None:
-            probs = self._memo[key] = tuple(self._probabilities(states, prefix))
-        return list(probs)
+            probs = self._memo[key] = self._probabilities(states, prefix)
+        return probs
 
     def _rows(self, layers, *parts) -> np.ndarray:
         """(H, 1, d_k): every head's FFN of the row embedded from ``parts``."""
         row = _hash_rng(self.seed, *parts).standard_normal((1, self.d))
         return ffn_forward(row, layers)[-1]
 
-    def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
+    def _probabilities(self, states, prefix: Sequence[int]) -> tuple[float, ...]:
         written = len(prefix)
         query = (written, prefix[-1] if written else EOS_TOKEN)
         payload = states.items[states.n - 1].payload
@@ -118,16 +118,10 @@ class ToyPolicyModel(CopyModel):
         if keys is None:
             keys = self._key_cache[payload] = self._rows(
                 self._ffn_h, "src", payload).reshape(self.n_heads, -1, 1)
-        probs = []
-        for logit, (bias, temperature) in zip(
-                np.matmul(queries, keys).ravel().tolist(), self._scales):
-            x = (logit + bias) / temperature  # _sigmoid(x), inlined
-            if x >= 0:
-                probs.append(1.0 / (1.0 + math.exp(-x)))
-            else:
-                e = math.exp(x)
-                probs.append(e / (1.0 + e))
-        return probs
+        return tuple(
+            _sigmoid((logit + bias) / temperature)
+            for logit, (bias, temperature) in zip(
+                np.matmul(queries, keys).ravel().tolist(), self._scales))
 
 
 def _stacked(ffns: list[FeedForward]) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -50,11 +50,6 @@ class QualityReport:
     sys_len: int
     ref_len: int
 
-    def recomposed(self) -> float:
-        """bleu re-derived from the stored components (consistency check)."""
-        logs = sum(_log_or_floor(p) for p in self.precisions) / MAX_ORDER
-        return self.brevity_penalty * math.exp(logs)
-
 
 def _log_or_floor(x: float) -> float:
     return math.log(x) if x > 0.0 else _LOG_ZERO

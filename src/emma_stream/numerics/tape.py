@@ -15,8 +15,7 @@ and the tail ops give one output row per block of rows, each bit for bit
 a one-row leaf's (numpy's batched products do that; one tall product over
 all blocks rounds differently).
 
-The primitives are the ones the objective records, plus ``mul``, with
-which the adjoint tests project an op's output onto random weights.
+The primitives are the ones the objective records, and no others.
 Element-wise ``sigmoid``, ``tanh``, ``exp``, ``log`` and ``row_softmax``
 are not tape ops: the fused ops evaluate them inside their own forwards
 and adjoints.
@@ -70,7 +69,6 @@ class Node:
 # `leaf` has no rule: :meth:`Tape.leaf` stores its value directly.
 _FORWARD: dict[str, Callable] = {
     "add": lambda vs, m: vs[0] + vs[1],
-    "mul": lambda vs, m: vs[0] * vs[1],
     "sum": lambda vs, m: np.array([[vs[0].sum()]]),
     "monotonic_alignment": lambda vs, m: _alignment(vs[0], *m),
     "lookback_attention": lambda vs, m: monotonic.lookback_forward(*vs),
@@ -167,7 +165,6 @@ def _cross_entropy_adjoint(softmax: np.ndarray, grad: np.ndarray, targets):
 # -> per-parent grads.
 _BACKWARD: dict[str, Callable] = {
     "add": lambda y, g, vs, m, s: (g, g),
-    "mul": lambda y, g, vs, m, s: (g * vs[1], g * vs[0]),
     "sum": lambda y, g, vs, m, s: (np.full_like(vs[0], g[0, 0]),),
     "monotonic_alignment": lambda y, g, vs, m, s:
         _alignment_adjoint(*s, g, m[0]),
@@ -230,10 +227,6 @@ class Tape:
     def add(self, a: Node, b: Node) -> Node:
         mx._check_same_shape(a.value, b.value, "add")
         return self._record("add", (a, b))
-
-    def mul(self, a: Node, b: Node) -> Node:
-        mx._check_same_shape(a.value, b.value, "mul")
-        return self._record("mul", (a, b))
 
     def sum(self, a: Node) -> Node:
         """Total sum as a 1x1 matrix."""

@@ -75,7 +75,7 @@ def run_stream(model: IncrementalModel, instance: StreamInstance,
             if consumed == 0:
                 read = True  # the first read is unconditional
             else:
-                probs = tuple(head_probabilities(states, outputs))
+                probs = head_probabilities(states, outputs)
                 # any NaN head reads; min() would keep it only in first place
                 lowest = (math.nan if math.isnan(sum(probs))
                           else min(probs, default=None))

@@ -25,9 +25,9 @@ class CopyModel:
     ``items`` slots.
 
     ``next_token`` copies the payload of the first chunk not yet copied
-    and returns EOS once every consumed payload has been copied. With
-    nothing left to copy every head returns 0, so the loop reads on.
-    Subclasses supply ``n_heads`` and ``_probabilities(states, prefix)``,
+    and returns EOS once every consumed payload has been copied. Answers
+    are tuples; with nothing left to copy every head answers 0.0, so the
+    loop reads on. Subclasses supply ``n_heads`` and ``_probabilities``,
     which is only asked while an uncopied payload exists.
     """
 
@@ -40,9 +40,9 @@ class CopyModel:
         return PrefixView(chunks, len(chunks))
 
     def head_probabilities(self, states: PrefixView,
-                           prefix: Sequence[int]) -> list[float]:
+                           prefix: Sequence[int]) -> Sequence[float]:
         if len(prefix) >= states.n:
-            return [0.0] * self.n_heads
+            return (0.0,) * self.n_heads
         return self._probabilities(states, prefix)
 
     def next_token(self, states: PrefixView, prefix: Sequence[int]) -> int:
@@ -51,7 +51,7 @@ class CopyModel:
             return EOS_TOKEN
         return states.items[written].payload
 
-    def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
+    def _probabilities(self, states, prefix: Sequence[int]) -> Sequence[float]:
         raise NotImplementedError
 
 
@@ -65,8 +65,8 @@ class _ScriptedProbability(CopyModel):
     def __init__(self, prob_fn: Callable[[int, int], Sequence[float]]):
         self.prob_fn = prob_fn
 
-    def _probabilities(self, states, prefix: Sequence[int]) -> list[float]:
-        return list(self.prob_fn(len(prefix), states.n))
+    def _probabilities(self, states, prefix: Sequence[int]) -> tuple[float, ...]:
+        return tuple(self.prob_fn(len(prefix), states.n))
 
 
 def scripted_probability_model(prob_fn: Callable[[int, int], Sequence[float]]):

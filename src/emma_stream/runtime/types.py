@@ -35,23 +35,6 @@ class SourceChunk:
             raise ValueError(f"chunk duration must be positive, got {self.duration_s}")
 
 
-_new_object = object.__new__
-_set_duration = SourceChunk.duration_s.__set__
-_set_payload = SourceChunk.payload.__set__
-
-
-def _positive_chunk(duration_s: float, payload: int) -> SourceChunk:
-    """``SourceChunk(duration_s, payload)`` for a caller that has already
-    tested ``duration_s > 0``: it fills the two slots directly and skips
-    the generated ``__init__`` and ``__post_init__``. The corpus loader
-    builds its chunks with it; each is a plain, frozen SourceChunk.
-    """
-    chunk = _new_object(SourceChunk)
-    _set_duration(chunk, duration_s)
-    _set_payload(chunk, payload)
-    return chunk
-
-
 @dataclass(frozen=True)
 class StreamInstance:
     id: str
@@ -148,15 +131,17 @@ class IncrementalModel(Protocol):
     while source remains it calls ``head_probabilities`` once per
     (written, consumed) state, and ``next_token`` for every write.
     Implementations must be deterministic given identical call history.
-    The built-in models (``runtime.models.CopyModel``) keep the view they
-    are handed as their states and read each chunk's payload from it, so
-    encoding a prefix is O(1) too; any other sequence they wrap once.
+    The loop reads each answer as given, never copying or mutating it.
+    The built-in models (``runtime.models.CopyModel``) answer tuples, keep
+    the view they are handed as their states and read each chunk's payload
+    from it, so encoding a prefix is O(1) too; any other sequence they wrap
+    once.
     """
 
     def encode_prefix(self, chunks: Sequence[SourceChunk]):
         """Encoder states for the consumed prefix."""
 
-    def head_probabilities(self, states, prefix: Sequence[int]) -> list[float]:
+    def head_probabilities(self, states, prefix: Sequence[int]) -> Sequence[float]:
         """Per-head write probabilities for the next target position."""
 
     def next_token(self, states, prefix: Sequence[int]) -> int:

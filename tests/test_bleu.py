@@ -92,7 +92,11 @@ def test_brevity_penalty_applied():
 
 def test_report_recomposes_from_components():
     report = corpus_bleu([["a", "b", "c", "b", "a"]], [["a", "b", "c", "d"]])
-    assert report.bleu == pytest.approx(report.recomposed(), abs=1e-9)
+    # BP times the geometric mean of the four precisions; none is zero here
+    assert all(p > 0.0 for p in report.precisions)
+    logs = sum(math.log(p) for p in report.precisions) / 4
+    assert report.bleu == pytest.approx(
+        report.brevity_penalty * math.exp(logs), abs=1e-9)
 
 
 def test_matches_oracle_on_random_pairs():

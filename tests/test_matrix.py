@@ -49,7 +49,7 @@ def test_row_softmax_rows_sum_to_one():
 def test_shape_errors_name_both_shapes():
     t = Tape()
     a, b = t.leaf(np.ones((2, 3))), t.leaf(np.ones((3, 2)))
-    for op in (t.add, t.mul):
+    for op in (t.add, t.lookback_attention):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(3, 2\)"):
             op(a, b)
 

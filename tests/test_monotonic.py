@@ -8,6 +8,7 @@ from emma_stream.emma import alignment_recursive, beta_recursive
 from emma_stream.errors import DomainError, ShapeError
 from emma_stream.numerics import Tape, central_difference_gradient
 from emma_stream.numerics.monotonic import alignment_forward, lookback_forward
+from test_tape import weighted_gradients
 
 H = 1e-6
 
@@ -31,16 +32,14 @@ def probabilities(rng, regime, shape):
 
 
 def tape_gradients(p, e, w, force_last_column):
-    """Value and gradients of sum(w * beta) through both ops, and of
-    sum(w * alpha) through the alignment op alone."""
+    """Gradients of sum(w * beta) through both ops, and of sum(w * alpha)
+    through the alignment op alone, ``w`` handed to each op's adjoint."""
     t = Tape()
     p_leaf, e_leaf = t.leaf(p), t.leaf(e)
     alpha = t.monotonic_alignment(p_leaf, force_last_column)
-    w_node = t.leaf(w)
-    align_out = t.sum(t.mul(alpha, w_node))
-    beta_out = t.sum(t.mul(t.lookback_attention(alpha, e_leaf), w_node))
-    align_grads = t.backward(align_out)
-    beta_grads = t.backward(beta_out)
+    beta = t.lookback_attention(alpha, e_leaf)
+    align_grads = weighted_gradients(t, alpha, w)
+    beta_grads = weighted_gradients(t, beta, w)
     return (align_grads[p_leaf.index], beta_grads[p_leaf.index],
             beta_grads[e_leaf.index])
 
@@ -170,16 +169,20 @@ def test_two_head_adjoints_match_central_differences(shape, force):
         leaves = [t.leaf(part.reshape(2 * shape[0], shape[1]))
                   for part in np.split(theta, 2)]
         alpha = t.monotonic_alignment(leaves[0], force, heads=2)
-        beta = t.lookback_attention(alpha, leaves[1])
-        out = t.add(t.sum(t.mul(alpha, t.leaf(w_alpha))),
-                    t.sum(t.mul(beta, t.leaf(w_beta))))
-        return t, leaves, out
+        return t, leaves, alpha, t.lookback_attention(alpha, leaves[1])
 
-    t, leaves, out = record(theta)
-    grads = t.backward(out)
+    def loss(theta):
+        _, _, alpha, beta = record(theta)
+        return (w_alpha * alpha.value).sum() + (w_beta * beta.value).sum()
+
+    # sum(w_alpha * alpha) + sum(w_beta * beta): each op's adjoint is
+    # handed its weights, and the two sweeps add up
+    t, leaves, alpha, beta = record(theta)
+    grads = [a + b for a, b in zip(weighted_gradients(t, alpha, w_alpha),
+                                   weighted_gradients(t, beta, w_beta))]
     analytic = np.concatenate([grads[leaf.index].ravel() for leaf in leaves])
     central = central_difference_gradient(
-        lambda probes: [record(th)[2].value.item() for th in probes], theta, h=H)
+        lambda probes: [loss(th) for th in probes], theta, h=H)
     assert np.allclose(analytic, central, rtol=1e-6, atol=1e-8)
     if force:
         assert np.all(grads[leaves[0].index][:, -1] == 0.0)

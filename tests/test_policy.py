@@ -12,6 +12,7 @@ from emma_stream.emma.params import (parameter_slots, random_head,
                                      random_readout, random_states)
 from emma_stream.errors import DomainError, ShapeError
 from emma_stream.numerics import Tape, central_difference_gradient
+from test_tape import weighted_gradients
 
 H = 1e-6
 
@@ -30,14 +31,16 @@ def head_problem(depth, n_heads, seed, n_source=5, n_target=4, d=4, d_k=3):
     return heads, pack_parameters(heads, readout), slots, states, rng
 
 
-def check_against_central_differences(record, theta):
-    """``record(theta) -> (tape, leaves, scalar node)``, the leaves holding
-    the entries of ``theta`` in order."""
+def check_against_central_differences(record, theta, w):
+    """Gradient of sum(w * node) for ``record(theta) -> (tape, leaves,
+    node)``, the leaves holding the entries of ``theta`` in order; ``w`` is
+    handed to the node's adjoint as its upstream gradient."""
     t, leaves, out = record(theta)
-    grads = t.backward(out)
+    grads = weighted_gradients(t, out, w)
     analytic = np.concatenate([grads[leaf.index].ravel() for leaf in leaves])
     central = central_difference_gradient(
-        lambda probes: [record(th)[2].value.item() for th in probes], theta, h=H)
+        lambda probes: [(w * record(th)[2].value).sum() for th in probes],
+        theta, h=H)
     assert np.allclose(analytic, central, rtol=1e-6, atol=1e-8)
 
 
@@ -52,10 +55,9 @@ def test_stepwise_adjoint_matches_central_differences(depth, n_heads, force):
         t = Tape()
         leaf = t.leaf(th)
         p = t.stepwise(leaf, states.s, states.h, slots)
-        alpha = t.monotonic_alignment(p, force, heads=n_heads)
-        return t, (leaf,), t.sum(t.mul(alpha, t.leaf(w)))
+        return t, (leaf,), t.monotonic_alignment(p, force, heads=n_heads)
 
-    check_against_central_differences(record, theta)
+    check_against_central_differences(record, theta, w)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -73,10 +75,10 @@ def test_energies_adjoint_matches_central_differences(depth, n_heads, force):
         t = Tape()
         leaf = t.leaf(th)
         alpha = t.monotonic_alignment(t.leaf(p), force, heads=n_heads)
-        beta = t.lookback_attention(alpha, t.energies(leaf, states.s, states.h, slots))
-        return t, (leaf,), t.sum(t.mul(beta, t.leaf(w)))
+        return t, (leaf,), t.lookback_attention(
+            alpha, t.energies(leaf, states.s, states.h, slots))
 
-    check_against_central_differences(record, theta)
+    check_against_central_differences(record, theta, w)
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
@@ -93,9 +95,9 @@ def test_fused_ops_on_parameter_rows_match_central_differences(n_heads):
         alpha = t.monotonic_alignment(
             t.stepwise(leaf, states.s, states.h, slots), heads=3 * n_heads)
         beta = t.lookback_attention(alpha, t.energies(leaf, states.s, states.h, slots))
-        return t, (leaf,), t.sum(t.mul(t.add(alpha, beta), t.leaf(w)))
+        return t, (leaf,), t.add(alpha, beta)
 
-    check_against_central_differences(record, theta.ravel())
+    check_against_central_differences(record, theta.ravel(), w)
 
 
 @pytest.mark.parametrize("n_heads", [1, 3])
@@ -140,12 +142,12 @@ def test_tail_op_adjoints_match_central_differences():
         p_leaf = t.leaf(th[:params.size].reshape(params.shape))
         a_leaf = t.leaf(th[params.size:].reshape(alpha.shape))
         logits = t.readout(a_leaf, p_leaf, v, 2, W_SLOT, B_SLOT)
-        loss = t.add(t.cross_entropy(logits, targets),
-                     t.delay_moments(a_leaf, ideal, weights))
-        return t, (p_leaf, a_leaf), t.sum(t.mul(loss, t.leaf(out_w)))
+        return t, (p_leaf, a_leaf), t.add(
+            t.cross_entropy(logits, targets),
+            t.delay_moments(a_leaf, ideal, weights))
 
     check_against_central_differences(
-        record, np.concatenate([params.ravel(), alpha.ravel()]))
+        record, np.concatenate([params.ravel(), alpha.ravel()]), out_w)
 
 
 def test_tail_ops_values():

@@ -265,9 +265,9 @@ def test_delays_are_the_forced_alignment_of_the_thresholded_surface():
             assert trace.delays == (alpha.argmax(axis=1) + 1.0).tolist(), seed
 
 
-class Generating:
-    """Wraps a model; hands out its head probabilities as a generator,
-    which the loop can consume only once."""
+class Listing:
+    """Wraps a model; hands out its head probabilities as a fresh list,
+    where the built-in models answer tuples."""
 
     def __init__(self, model):
         self.model = model
@@ -276,7 +276,7 @@ class Generating:
         return self.model.encode_prefix(chunks)
 
     def head_probabilities(self, states, prefix):
-        return (p for p in self.model.head_probabilities(states, prefix))
+        return list(self.model.head_probabilities(states, prefix))
 
     def next_token(self, states, prefix):
         return self.model.next_token(states, prefix)
@@ -291,8 +291,8 @@ def test_trace_holds_exactly_on_its_threshold_interval():
         rng = np.random.default_rng(seed)
         n_heads = 1 + seed % 3
         table = rng.choice(grid, size=(9, 9, n_heads)).tolist()
-        model = Generating(scripted_probability_model(
-            lambda w, c: table[w][c]))
+        scripted = scripted_probability_model(lambda w, c: table[w][c])
+        model = Listing(scripted)
         inst = instance_of(8)
 
         def lines_at(t):
@@ -303,6 +303,8 @@ def test_trace_holds_exactly_on_its_threshold_interval():
         trace = run_stream(model, inst, RuntimeConfig(threshold=t0))
         lo, hi = trace.threshold_interval
         assert lo < t0 <= hi
+        # a list answer streams as the tuple answer does
+        assert trace == run_stream(scripted, inst, RuntimeConfig(threshold=t0))
         middle = (max(lo, 0.0) + min(hi, 1.0)) / 2
         inside = [t for t in (np.nextafter(lo, math.inf), middle, hi)
                   if 0.0 < t < 1.0]
