@@ -86,11 +86,10 @@ def emma_objective(heads: list[PolicyHeadParams], states: EncDecStates,
         raise ValueError(
             f"{np.size(targets)} targets for {states.target_len} decoder steps")
     ideal = ideal_delays(states.source_len, states.target_len)
-    layout = parameter_slots(heads, readout)
-    head_slots, (w_out_slot, b_out_slot) = layout
+    head_slots, (w_out_slot, b_out_slot) = parameter_slots(heads, readout)
     n_settings, n = len(settings), b_out_slot[0] + b_out_slot[2]
     if theta is None:
-        theta = np.tile(pack_parameters(heads, readout, layout), (n_settings, 1))
+        theta = np.tile(pack_parameters(heads, readout), (n_settings, 1))
     elif (np.shape(theta) != (n_settings, n) if lockstep
           else np.size(theta) != n):
         raise ValueError(f"expected {n_settings} x {n} parameters, "

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -205,9 +206,25 @@ def random_states(rng: np.random.Generator, source_len: int, target_len: int,
 
 # -- flattening for gradient checks and plain gradient descent ---------------
 
-def _head_slots(hp: PolicyHeadParams, temperature: tuple[float, ...]) -> HeadSlots:
-    """Head ``hp``'s part of theta: per FFN_s then FFN_h layer its weight and
-    bias, then [[bias]], w_q and w_k, each flattened row-major."""
+def parameter_slots(heads: list[PolicyHeadParams], readout: Readout):
+    """The layout of theta, the flat parameter vector: a
+    :class:`~emma_stream.numerics.policy.HeadSlots` for the heads, which
+    must share one shape and lie one after another, and then the readout's
+    ``(w_out, b_out)`` slots. :func:`pack_parameters` writes through these
+    slots and :func:`unpack_parameters` reads through them."""
+    return _layout(tuple([(tuple([w.shape for w in hp.ffn_s.weights]),
+                           tuple([w.shape for w in hp.ffn_h.weights]),
+                           hp.w_q.shape, hp.w_k.shape) for hp in heads]),
+                   tuple([hp.temperature for hp in heads]), readout.w_out.shape)
+
+
+@lru_cache(maxsize=64)
+def _layout(head_shapes: tuple, temperature: tuple, w_out: tuple[int, int]):
+    """:func:`parameter_slots` for one key of shapes and temperatures: per
+    head each FFN_s then FFN_h layer's weight and 1-row bias, then [[bias]],
+    w_q and w_k, flattened row-major; then w_out and its 1-row b_out."""
+    if len(set(head_shapes)) > 1:
+        raise ValueError("policy heads must share one shape")
     pos = 0
 
     def slot(shape: tuple[int, int]):
@@ -215,32 +232,18 @@ def _head_slots(hp: PolicyHeadParams, temperature: tuple[float, ...]) -> HeadSlo
         pos += shape[0] * shape[1]
         return (pos - shape[0] * shape[1],) + shape
 
-    ffn_s, ffn_h = (tuple((slot(w.shape), slot(b.shape)) for w, b in ffn.layers())
-                    for ffn in (hp.ffn_s, hp.ffn_h))
-    bias, w_q, w_k = slot((1, 1)), slot(hp.w_q.shape), slot(hp.w_k.shape)
-    return HeadSlots(pos, ffn_s, ffn_h, bias, w_q, w_k, temperature)
+    *ffns, w_q, w_k = head_shapes[0]
+    ffn_s, ffn_h = (tuple((slot(w), slot((1, w[1]))) for w in ffn) for ffn in ffns)
+    bias, w_q, w_k = slot((1, 1)), slot(w_q), slot(w_k)
+    head = HeadSlots(pos, ffn_s, ffn_h, bias, w_q, w_k, temperature)
+    pos *= len(temperature)
+    return head, (slot(w_out), slot((1, w_out[1])))
 
 
-def parameter_slots(heads: list[PolicyHeadParams], readout: Readout):
-    """The layout of theta, the flat parameter vector: a
-    :class:`~emma_stream.numerics.policy.HeadSlots` for the heads, which
-    must share one shape and lie one after another, and then the readout's
-    ``(w_out, b_out)`` slots. :func:`pack_parameters` writes through these
-    slots and :func:`unpack_parameters` reads through them."""
-    temperature = tuple(hp.temperature for hp in heads)
-    head = _head_slots(heads[0], temperature)
-    if any(_head_slots(hp, temperature) != head for hp in heads[1:]):
-        raise ValueError("policy heads must share one shape")
-    w_out = (head.n_heads * head.stride,) + readout.w_out.shape
-    return head, (w_out, (w_out[0] + readout.w_out.size,) + readout.b_out.shape)
-
-
-def pack_parameters(heads: list[PolicyHeadParams], readout: Readout,
-                    layout=None) -> np.ndarray:
+def pack_parameters(heads: list[PolicyHeadParams], readout: Readout) -> np.ndarray:
     """Every trainable array (temperatures excluded) in one vector, laid out
-    by :func:`parameter_slots`; ``layout`` is that function's result, when
-    the caller has it already."""
-    head, (w_out, b_out) = layout or parameter_slots(heads, readout)
+    by :func:`parameter_slots`."""
+    head, (w_out, b_out) = parameter_slots(heads, readout)
     theta = np.empty(b_out[0] + b_out[2])
     for row, hp in zip(head.block(theta), heads):
         for slots, ffn in ((head.ffn_s, hp.ffn_s), (head.ffn_h, hp.ffn_h)):

@@ -11,12 +11,12 @@ The alignment is the division-free scan, for every target row i,
     alpha[i, j] = p[i, j] * q[i, j],
 
 with alpha[-1] the one-hot start at source position 0. Cell (i, j) depends
-on (i-1, j) and (i, j-1), so every cell of one anti-diagonal i + j is
-independent of the others: the scan runs one numpy step per anti-diagonal,
-O(|y| + |x|) steps and O(|y| (|y| + |x|)) work, and the adjoint runs the
-same wavefront in reverse. Several heads of one shape share the wavefront:
-anti-diagonal c = i + j + 1 of every head is the (H, |y|) slab c of a
-"skewed" array, so each step reads and writes whole contiguous slabs.
+on (i-1, j) and (i, j-1), so the cells of one anti-diagonal are independent:
+the scan runs one numpy step per anti-diagonal, O(|y| + |x|) steps and
+O(|y| (|y| + |x|)) work, and the adjoint runs it in reverse, for all heads of
+one shape at once. Diagonal c = i + j + 1 of every head is slab c of a
+"skewed" array laid out (diagonal, target row, head): a step reads slab c - 1
+shifted by one target row, with the head innermost one contiguous block.
 
 The lookback attention is row-wise, so H heads stacked by row (an
 H |y| x |x| matrix) go through it as one matrix.
@@ -36,18 +36,18 @@ __all__ = [
 
 
 def _skewed(buf: np.ndarray, n_source: int, first_col: int = 0) -> np.ndarray:
-    """H x |y| x |x| view with view[h, i, j] = buf[i + j + 1, h, i + first_col].
+    """H x |y| x |x| view with view[h, i, j] = buf[i + j + 1, i + first_col, h].
 
-    ``buf`` is C-contiguous, laid out (diagonal, head, target row), with at
-    least |y| + |x| diagonals and |y| + first_col columns, so the view stays
-    inside it.
+    ``buf`` is C-contiguous, laid out (diagonal, target row, head), with at
+    least |y| + |x| diagonals and |y| + first_col target rows, so the view
+    stays inside it.
     """
-    n_target = buf.shape[2] - first_col
-    diag, head, col = buf.strides
+    n_target = buf.shape[1] - first_col
+    diag, row, head = buf.strides
     # np.ndarray over buf's memory: the same view as numpy's as_strided,
     # at a fifth of its cost, which matters at toy sizes
-    return np.ndarray((buf.shape[1], n_target, n_source), buf.dtype, buf,
-                      diag + first_col * col, (head, diag + col, diag))
+    return np.ndarray((buf.shape[2], n_target, n_source), buf.dtype, buf,
+                      diag + first_col * row, (head, diag + row, diag))
 
 
 def alignment_forward(p: np.ndarray, force_last_column: bool = False):
@@ -59,25 +59,25 @@ def alignment_forward(p: np.ndarray, force_last_column: bool = False):
     the final source position absorbs the remaining mass (p[..., -1] taken
     as 1).
 
-    Each step updates one whole (H, |y|) diagonal slab. Its cells off the
+    Each step updates one whole (|y|, H) diagonal slab. Its cells off the
     |y| x |x| grid hold p = 0: left of column 0 they keep q = alpha = 0, and
     right of the last column they never feed a real cell, because cell
     (i, j) reads only (i, j-1) and (i-1, j).
     """
     n_heads, n_target, n_source = p.shape
-    ps = np.zeros((n_target + n_source, n_heads, n_target))
+    ps = np.zeros((n_target + n_source, n_target, n_heads))
     _skewed(ps, n_source)[...] = p
     if force_last_column:
         _skewed(ps, n_source)[..., -1] = 1.0
     stay = 1.0 - ps
     qs = np.zeros_like(ps)
-    # column k + 1 holds alpha[k - 1]; column 0 the one-hot start alpha[-1]
-    alphas = np.zeros((n_target + n_source, n_heads, n_target + 1))
-    alphas[0, :, 0] = 1.0
+    # row k + 1 holds alpha[k - 1]; row 0 the one-hot start alpha[-1]
+    alphas = np.zeros((n_target + n_source, n_target + 1, n_heads))
+    alphas[0, 0] = 1.0
     # diagonals c = 1, 2, ...: q and alpha of c, and the c - 1 slabs they read;
     # zip over pre-sliced arrays spends less per step than indexing by c
     for q, q_prev, stay_prev, alpha_prev, p, alpha in zip(
-            qs[1:], qs, stay, alphas[:, :, :-1], ps[1:], alphas[1:, :, 1:]):
+            qs[1:], qs, stay, alphas[:, :-1], ps[1:], alphas[1:, 1:]):
         np.multiply(stay_prev, q_prev, out=q)
         q += alpha_prev
         np.multiply(p, q, out=alpha)
@@ -98,21 +98,19 @@ def alignment_adjoint(ps: np.ndarray, qs: np.ndarray, grad: np.ndarray,
     stays 0, and nothing left of column 0 reaches a real cell.
     """
     n_heads, n_target, n_source = grad.shape
-    gs = np.zeros_like(ps)
-    _skewed(gs, n_source)[...] = grad
-    q_adj = np.zeros((n_target + n_source + 1, n_heads, n_target + 1))
-    p_adj = np.zeros_like(ps)
-    # diagonals c = last, ..., 1: Q[c + 1] read as Q[i, j+1] (after) and
-    # Q[i+1, j] (after_up), the slabs of c, and Q[c] written
-    for after, after_up, g, q, p, dp, q_adj_c in zip(
-            q_adj[:1:-1, :, :-1], q_adj[:1:-1, :, 1:], gs[:0:-1], qs[:0:-1],
-            ps[:0:-1], p_adj[:0:-1], q_adj[-2:0:-1, :, :-1]):
-        d = g + after_up
+    ds = np.zeros_like(ps)
+    _skewed(ds, n_source)[...] = grad
+    q_adj = np.zeros((n_target + n_source + 1, n_target + 1, n_heads))
+    # diagonals c = last, ..., 1: Q[i, j+1] (after) and Q[i+1, j] (after_up)
+    # read from Q[c + 1], D written over grad's slab c, and Q[c]; dp = q D last
+    for after, after_up, d, p, q_adj_c in zip(
+            q_adj[:1:-1, :-1], q_adj[:1:-1, 1:], ds[:0:-1], ps[:0:-1],
+            q_adj[-2:0:-1, :-1]):
+        d += after_up
         d -= after
-        np.multiply(q, d, out=dp)
-        np.multiply(p, d, out=d)
-        np.add(after, d, out=q_adj_c)
-    out = _skewed(p_adj, n_source).copy()
+        np.multiply(p, d, out=q_adj_c)
+        q_adj_c += after
+    out = np.multiply(_skewed(qs, n_source), _skewed(ds, n_source), order="C")
     if force_last_column:
         out[..., -1] = 0.0
     return out

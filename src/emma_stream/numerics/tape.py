@@ -126,7 +126,7 @@ def _cross_entropy(logits: np.ndarray, targets: np.ndarray):
 
 
 def _alignment_adjoint(ps, qs, grad: np.ndarray, force_last_column: bool):
-    n_heads, n_target = ps.shape[1:]
+    n_target, n_heads = ps.shape[1:]
     p_adj = monotonic.alignment_adjoint(
         ps, qs, grad.reshape(n_heads, n_target, -1), force_last_column)
     return (p_adj.reshape(grad.shape),)

@@ -7,7 +7,8 @@ import pytest
 from emma_stream.emma import alignment_recursive, beta_recursive
 from emma_stream.errors import DomainError, ShapeError
 from emma_stream.numerics import Tape, central_difference_gradient
-from emma_stream.numerics.monotonic import alignment_forward, lookback_forward
+from emma_stream.numerics.monotonic import (alignment_adjoint, alignment_forward,
+                                           lookback_forward)
 from test_tape import weighted_gradients
 
 H = 1e-6
@@ -82,6 +83,55 @@ def test_lookback_matches_oracle_at_speech_width():
     e = np.exp(rng.standard_normal((3, 512)))
     assert np.abs(lookback_forward(alpha, e)[0]
                   - beta_recursive(alpha, e)).max() <= 1e-10
+
+
+def cellwise_alignment(p, grad, force_last_column):
+    """One head's alignment and its adjoint, cell by cell on Python floats,
+    each cell's operations in the wavefront kernels' order:
+
+        q = (1 - p[i][j-1]) q[i][j-1] + alpha[i-1][j],  alpha = p q;
+        D = (grad + Q[i+1][j]) - Q[i][j+1],  dp = q D,  Q = Q[i][j+1] + p D,
+
+    with p, q and Q taken as 0 off the grid and alpha[-1] the one-hot start."""
+    p = [list(row) for row in p]
+    n_target, n_source = len(p), len(p[0])
+    if force_last_column:
+        for row in p:
+            row[-1] = 1.0
+    q = [[0.0] * n_source for _ in range(n_target)]
+    alpha = [[0.0] * n_source for _ in range(n_target)]
+    for i in range(n_target):
+        for j in range(n_source):
+            above = alpha[i - 1][j] if i else float(j == 0)
+            p_left, q_left = (p[i][j - 1], q[i][j - 1]) if j else (0.0, 0.0)
+            q[i][j] = (1.0 - p_left) * q_left + above
+            alpha[i][j] = p[i][j] * q[i][j]
+    q_adj = [[0.0] * (n_source + 1) for _ in range(n_target + 1)]
+    dp = [[0.0] * n_source for _ in range(n_target)]
+    for i in reversed(range(n_target)):
+        for j in reversed(range(n_source)):
+            d = (grad[i][j] + q_adj[i + 1][j]) - q_adj[i][j + 1]
+            dp[i][j] = q[i][j] * d
+            q_adj[i][j] = q_adj[i][j + 1] + p[i][j] * d
+        if force_last_column:
+            dp[i][-1] = 0.0
+    return alpha, dp
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (3, 4), (5, 7), (16, 64)])
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("force", [False, True])
+def test_wavefront_is_the_cellwise_scan_bit_for_bit(shape, n_heads, force):
+    # the kernels' floats are pinned cell by cell, whatever their layout
+    rng = np.random.default_rng(shape[0] * 41 + shape[1] + 7 * n_heads + force)
+    p = probabilities(rng, "exact", (n_heads,) + shape)
+    grad = rng.standard_normal((n_heads,) + shape)
+    alpha, ps, qs = alignment_forward(p, force)
+    p_adj = alignment_adjoint(ps, qs, grad, force)
+    for h in range(n_heads):
+        want_alpha, want_dp = cellwise_alignment(p[h].tolist(), grad[h].tolist(), force)
+        assert alpha[h].tolist() == want_alpha
+        assert p_adj[h].tolist() == want_dp
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (4, 1), (3, 4), (5, 7)])

@@ -1,5 +1,7 @@
 """The combined objective: value fixtures, fused-op consistency, gradients."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,8 @@ from emma_stream.emma import (EncDecStates, LossWeights, Readout,
                               pack_parameters, stepwise_probability,
                               unpack_parameters, variance_loss)
 from emma_stream.emma import objective as objective_module
-from emma_stream.emma.params import (parameter_slots, random_head,
+from emma_stream.emma.params import (PolicyHeadParams, parameter_slots,
+                                     random_feedforward, random_head,
                                      random_readout, random_states)
 from emma_stream.numerics import Tape, finite_diff_check
 from emma_stream.numerics.policy import view
@@ -222,6 +225,31 @@ def test_parameter_layout_is_pinned(n_heads, depth):
 
     heads2, readout2 = unpack_parameters(2 * theta, heads, readout)
     assert np.array_equal(pack_parameters(heads2, readout2), 2 * theta)
+
+
+def test_layout_is_derived_once_per_shapes_and_temperatures():
+    rng = np.random.default_rng(4)
+    heads = [random_head(rng, 4, 2) for _ in range(2)]
+    readout = random_readout(rng, 2, 3)
+    layout = parameter_slots(heads, readout)
+    # other values of the same shapes and temperatures share one layout
+    assert parameter_slots([random_head(rng, 4, 2) for _ in range(2)],
+                           random_readout(rng, 2, 3)) is layout
+    warmer = [replace(heads[0], temperature=0.5), heads[1]]
+    assert parameter_slots(warmer, readout)[0].temperature == (0.5, 0.2)
+    wider = parameter_slots(heads, random_readout(rng, 2, 4))
+    assert wider[1][1][1:] == (1, 4) and wider[0] == layout[0]
+    # layers split 3 + 1 or 2 + 2 between FFN_s and FFN_h place theta apart
+    split = [PolicyHeadParams(random_feedforward(rng, 4, 4, s),
+                              random_feedforward(rng, 4, 4, 4 - s),
+                              heads[0].w_q, heads[0].w_k) for s in (3, 2)]
+    assert (parameter_slots(split[:1], readout)[0]
+            != parameter_slots(split[1:], readout)[0])
+    # a mismatched head raises each time, after its partner's layout is kept
+    odd = random_head(rng, 4, 3)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="share one shape"):
+            parameter_slots([heads[0], odd], readout)
 
 
 def test_flat_parameters_replace_the_template_values():
