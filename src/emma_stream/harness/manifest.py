@@ -49,7 +49,9 @@ class Manifest:
             raw = json.loads(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ValueError(f"manifest not found: {str(path)!r}")
-        except json.JSONDecodeError as exc:
+        except OSError as exc:  # a directory, or no read permission
+            raise ValueError(f"cannot read manifest {str(path)!r}: {exc.strerror}")
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"manifest {str(path)!r} is not valid JSON: {exc}")
         if not isinstance(raw, dict) or "instances" not in raw:
             raise ValueError(f"manifest {str(path)!r} must be an object with "
@@ -179,16 +181,21 @@ def load_instances(path: str | Path) -> list[StreamInstance]:
     One object per line: {"id": str, "source": [{"dur_ms": ms, "token": id},
     ...], "reference": [id, ...]}. Durations arrive in milliseconds and are
     stored in seconds. An id names its trace file, so it must be a plain
-    file name: not empty, ``.`` or ``..``, and free of ``/``, ``\\``, NUL.
+    file name: not empty, ``.`` or ``..``, free of ``/``, ``\\``, NUL, and
+    UTF-8 (no lone surrogate). A file is read as UTF-8; a line that is not
+    is reported by its number.
     """
     path = Path(path)
     instances: list[StreamInstance] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, caught line by line below
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not _is_utf8(line):
+                raise CorpusError(f"{path}:{lineno}: not valid UTF-8")
             try:
                 raw = json.loads(line)
             except ValueError as exc:
@@ -207,11 +214,21 @@ def load_instances(path: str | Path) -> list[StreamInstance]:
     return instances
 
 
+def _is_utf8(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8, that is, holds no lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _parse_instance(raw: dict) -> StreamInstance:
     iid = raw["id"]
     if not isinstance(iid, str):
         raise ValueError(f"instance id must be a string, got {iid!r}")
-    if iid in ("", ".", "..") or "/" in iid or "\\" in iid or "\0" in iid:
+    if iid in ("", ".", "..") or "/" in iid or "\\" in iid or "\0" in iid \
+            or not _is_utf8(iid):
         raise ValueError(f"instance id {iid!r} is not a plain file name")
     source = raw["source"]
     if not source:

@@ -67,5 +67,5 @@ def emit_report(report, format: str = "csv", path: str | Path | None = None) -> 
                 path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise OSError(f"cannot write report to {path}: {exc}")
+            raise OSError(f"cannot write report to {str(path)!r}: {exc}")
     return text

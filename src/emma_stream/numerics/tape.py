@@ -1,12 +1,16 @@
 """Eager-recording reverse-mode differentiation over the matrix catalog.
 
 A :class:`Tape` records every primitive application as a :class:`Node`
-holding the operation kind, parent indices, and the forward value.  Nodes
-are appended in execution order, so the list is always topologically
-sorted and :meth:`Tape.backward` is a single reverse sweep.  Values are
-2-D float64 arrays, frozen on creation; scalars are 1-by-1 matrices, and
-shapes must match exactly.  An op whose adjoint reads forward
-intermediates keeps them in ``Node.saved``.  The policy-head ops
+holding the operation kind, parent indices, the forward value and its
+adjoint.  Each op is stated once, in its :class:`Tape` method: the method
+checks its inputs, runs the forward kernel and records the value with an
+``adjoint`` closure over what the adjoint kernel reads.  Nodes are
+appended in execution order, so the list is always topologically sorted
+and :meth:`Tape.backward` is a single reverse sweep.  Values are 2-D
+float64 arrays, frozen on creation; scalars are 1-by-1 matrices, and
+shapes must match exactly.  ``Node.saved`` keeps the forward
+intermediates that callers read: the stepwise op's layers and
+activations, and the delay moments and delays.  The policy-head ops
 :meth:`Tape.stepwise` and :meth:`Tape.energies` read every head's
 parameters from one parameter leaf, and :meth:`Tape.readout` reads its
 weights from it too.  The leaf is one flat 1 x n parameter row, or R such
@@ -44,47 +48,29 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 class Node:
-    """Handle to one recorded value on a tape.
+    """Handle to one recorded value on a tape, carrying its own adjoint.
 
-    A node does not refer back to its tape: a tape and its nodes would form
-    a reference cycle, and every finished tape, saved intermediates and
-    all, would wait for the cyclic garbage collector instead of being freed
-    when the objective returns. A tape recognises its nodes by index.
+    ``adjoint(g)`` maps the gradient ``g`` of the node's value to one
+    gradient per parent, in ``parents`` order; a leaf has none. The closure
+    holds what it reads (parent values and forward intermediates), never
+    the tape. A node does not refer back to its tape either: a tape and its
+    nodes would form a reference cycle, and every finished tape, saved
+    intermediates and all, would wait for the cyclic garbage collector
+    instead of being freed when the objective returns. A tape recognises
+    its nodes by index.
     """
 
-    __slots__ = ("index", "op", "value", "parents", "meta", "saved")
+    __slots__ = ("index", "op", "value", "parents", "adjoint", "saved")
 
     def __init__(self, index: int, op: str, value: np.ndarray,
-                 parents: tuple[int, ...], meta: tuple, saved: tuple = ()):
+                 parents: tuple[int, ...], adjoint: Callable | None,
+                 saved: tuple = ()):
         self.index = index
         self.op = op
         self.value = value
         self.parents = parents
-        self.meta = meta
+        self.adjoint = adjoint
         self.saved = saved
-
-
-# Forward rules, keyed by op kind: (parent values, meta) -> value, or a tuple
-# (value, *saved) for ops whose adjoint reads forward intermediates.
-# `leaf` has no rule: :meth:`Tape.leaf` stores its value directly.
-_FORWARD: dict[str, Callable] = {
-    "add": lambda vs, m: vs[0] + vs[1],
-    "sum": lambda vs, m: np.array([[vs[0].sum()]]),
-    "monotonic_alignment": lambda vs, m: _alignment(vs[0], *m),
-    "lookback_attention": lambda vs, m: monotonic.lookback_forward(*vs),
-    "stepwise": lambda vs, m: policy.heads_stepwise(vs[0], *m),
-    "energies": lambda vs, m: policy.heads_energies(vs[0], *m),
-    "readout": lambda vs, m: _readout(*vs, *m),
-    "cross_entropy": lambda vs, m: _cross_entropy(vs[0], m[0]),
-    "delay_moments": lambda vs, m: _delay_moments(vs[0], *m),
-}
-
-
-def _alignment(p: np.ndarray, force_last_column: bool, n_heads: int):
-    """Alignment of the row-stacked heads of ``p`` in one wavefront."""
-    alpha, *saved = monotonic.alignment_forward(
-        p.reshape(n_heads, -1, p.shape[1]), force_last_column)
-    return (alpha.reshape(-1, alpha.shape[2]), *saved)
 
 
 def _delay_moments(alpha: np.ndarray, ideal: np.ndarray, weights: np.ndarray):
@@ -125,13 +111,6 @@ def _cross_entropy(logits: np.ndarray, targets: np.ndarray):
         -1, targets.size * logits.shape[1]).sum(axis=1, keepdims=True), softmax
 
 
-def _alignment_adjoint(ps, qs, grad: np.ndarray, force_last_column: bool):
-    n_target, n_heads = ps.shape[1:]
-    p_adj = monotonic.alignment_adjoint(
-        ps, qs, grad.reshape(n_heads, n_target, -1), force_last_column)
-    return (p_adj.reshape(grad.shape),)
-
-
 def _readout_adjoint(theta: np.ndarray, v: np.ndarray, head_mean: np.ndarray,
                      w_slot, b_slot, x: np.ndarray, grad: np.ndarray):
     g = grad.reshape(x.shape[:2] + (-1,))
@@ -161,35 +140,15 @@ def _cross_entropy_adjoint(softmax: np.ndarray, grad: np.ndarray, targets):
     return out
 
 
-# Adjoint rules: (node value, upstream grad, parent values, meta, saved)
-# -> per-parent grads.
-_BACKWARD: dict[str, Callable] = {
-    "add": lambda y, g, vs, m, s: (g, g),
-    "sum": lambda y, g, vs, m, s: (np.full_like(vs[0], g[0, 0]),),
-    "monotonic_alignment": lambda y, g, vs, m, s:
-        _alignment_adjoint(*s, g, m[0]),
-    "lookback_attention": lambda y, g, vs, m, s:
-        monotonic.lookback_adjoint(*vs, *s, g),
-    "stepwise": lambda y, g, vs, m, s: (policy.heads_stepwise_adjoint(
-        vs[0], y, s[0], m[2], g),),
-    "energies": lambda y, g, vs, m, s: (policy.heads_energies_adjoint(
-        vs[0], y, s[0], *m, g),),
-    "readout": lambda y, g, vs, m, s: _readout_adjoint(vs[1], *m, s[0], g),
-    "cross_entropy": lambda y, g, vs, m, s: (_cross_entropy_adjoint(s[0], g, m[0]),),
-    "delay_moments": lambda y, g, vs, m, s:
-        _delay_moments_adjoint(vs[0], m[1], s[1], g),
-}
-
-
-def _policy_meta(op: str, theta: Node, s, h, heads: policy.HeadSlots) -> tuple:
-    """Checked (s, h, heads) of a policy-head op."""
+def _policy_states(op: str, theta: Node, s, h, heads: policy.HeadSlots):
+    """Checked, frozen states (s, h) of a policy-head op."""
     if theta.value.shape[1] < heads.n_heads * heads.stride:
         raise ShapeError(f"{op}: parameter rows {theta.value.shape} do not "
                          f"hold {heads.n_heads} heads of {heads.stride}")
     s, h = _freeze(mx.as_matrix(s).copy()), _freeze(mx.as_matrix(h).copy())
     if s.shape[1] != h.shape[1]:
         raise ShapeError(f"{op}: state dims differ: {s.shape[1]} vs {h.shape[1]}")
-    return s, h, heads
+    return s, h
 
 
 class Tape:
@@ -204,33 +163,30 @@ class Tape:
     def _holds(self, node: Node) -> bool:
         return node.index < len(self.nodes) and self.nodes[node.index] is node
 
-    def _record(self, op: str, parents: tuple[Node, ...], meta: tuple = ()) -> Node:
+    def _record(self, op: str, parents: tuple[Node, ...], value: np.ndarray,
+                adjoint: Callable | None, saved: tuple = ()) -> Node:
         for p in parents:
             if not self._holds(p):
                 raise LookupError("parent node belongs to a different tape")
-        out = _FORWARD[op]([p.value for p in parents], meta)
-        value, saved = (out[0], out[1:]) if isinstance(out, tuple) else (out, ())
         node = Node(len(self.nodes), op, _freeze(value),
-                    tuple([p.index for p in parents]), meta, saved)
+                    tuple([p.index for p in parents]), adjoint, saved)
         self.nodes.append(node)
         return node
 
     # -- leaves -----------------------------------------------------------
     def leaf(self, value) -> Node:
         """Record an input matrix (gradients are reported for every leaf)."""
-        arr = _freeze(mx.as_matrix(value).copy())
-        node = Node(len(self.nodes), "leaf", arr, (), ())
-        self.nodes.append(node)
-        return node
+        return self._record("leaf", (), mx.as_matrix(value).copy(), None)
 
     # -- primitives --------------------------------------------------------
     def add(self, a: Node, b: Node) -> Node:
         mx._check_same_shape(a.value, b.value, "add")
-        return self._record("add", (a, b))
+        return self._record("add", (a, b), a.value + b.value, lambda g: (g, g))
 
     def sum(self, a: Node) -> Node:
         """Total sum as a 1x1 matrix."""
-        return self._record("sum", (a,))
+        return self._record("sum", (a,), np.array([[a.value.sum()]]),
+                            lambda g: (np.full_like(a.value, g[0, 0]),))
 
     def monotonic_alignment(self, p: Node, force_last_column: bool = False,
                             heads: int = 1) -> Node:
@@ -241,8 +197,13 @@ class Tape:
         if heads < 1 or p.value.shape[0] % heads:
             raise ShapeError(f"monotonic_alignment: {p.value.shape[0]} rows do "
                              f"not stack {heads} heads")
-        return self._record("monotonic_alignment", (p,),
-                            (bool(force_last_column), heads))
+        force = bool(force_last_column)
+        alpha, ps, qs = monotonic.alignment_forward(
+            p.value.reshape(heads, -1, p.value.shape[1]), force)
+        return self._record(
+            "monotonic_alignment", (p,), alpha.reshape(-1, alpha.shape[2]),
+            lambda g: (monotonic.alignment_adjoint(
+                ps, qs, g.reshape(heads, -1, g.shape[1]), force).reshape(g.shape),))
 
     def lookback_attention(self, alpha: Node, e: Node) -> Node:
         """Infinite-lookback attention of the row-stacked alignments ``alpha``
@@ -251,7 +212,10 @@ class Tape:
         mx._check_same_shape(alpha.value, e.value, "lookback_attention")
         if np.any(e.value <= 0.0):
             raise DomainError("lookback_attention: energies must be strictly positive")
-        return self._record("lookback_attention", (alpha, e))
+        beta, r, s = monotonic.lookback_forward(alpha.value, e.value)
+        return self._record("lookback_attention", (alpha, e), beta,
+                            lambda g: monotonic.lookback_adjoint(
+                                alpha.value, e.value, r, s, g))
 
     def stepwise(self, theta: Node, s: np.ndarray, h: np.ndarray,
                  heads: policy.HeadSlots) -> Node:
@@ -261,8 +225,11 @@ class Tape:
         R-row ``theta`` gives R H |y| rows, ordered by row, then by head.
         Decoder states ``s`` and encoder states ``h`` are constants.
         Recorded as one node."""
-        return self._record("stepwise", (theta,),
-                            _policy_meta("stepwise", theta, s, h, heads))
+        s, h = _policy_states("stepwise", theta, s, h, heads)
+        p, saved = policy.heads_stepwise(theta.value, s, h, heads)
+        return self._record("stepwise", (theta,), p,
+                            lambda g: (policy.heads_stepwise_adjoint(
+                                theta.value, p, saved, heads, g),), (saved,))
 
     def energies(self, theta: Node, s: np.ndarray, h: np.ndarray,
                  heads: policy.HeadSlots) -> Node:
@@ -270,8 +237,11 @@ class Tape:
         :meth:`stepwise`, as one node. Each row's max score is subtracted
         as a constant: the lookback attention does not see a per-row
         energy scale, so the adjoint leaves the max out."""
-        return self._record("energies", (theta,),
-                            _policy_meta("energies", theta, s, h, heads))
+        s, h = _policy_states("energies", theta, s, h, heads)
+        e, qk = policy.heads_energies(theta.value, s, h, heads)
+        return self._record("energies", (theta,), e,
+                            lambda g: (policy.heads_energies_adjoint(
+                                theta.value, e, qk, s, h, heads, g),))
 
     def delay_moments(self, alpha: Node, ideal, weights) -> Node:
         """R x 1: per block r of rows of ``alpha``, one per row of the R x 2
@@ -287,7 +257,10 @@ class Tape:
                 or n_rows % (len(weights) * ideal.size):
             raise ShapeError(f"delay_moments: weights {weights.shape} and "
                              f"{ideal.size} ideal delays do not fit {n_rows} rows")
-        return self._record("delay_moments", (alpha,), (ideal, weights))
+        value, moments, d = _delay_moments(alpha.value, ideal, weights)
+        return self._record("delay_moments", (alpha,), value,
+                            lambda g: _delay_moments_adjoint(
+                                alpha.value, weights, d, g), (moments, d))
 
     def readout(self, beta: Node, theta: Node, v, heads: int,
                 w_slot: policy.Slot, b_slot: policy.Slot) -> Node:
@@ -310,8 +283,11 @@ class Tape:
         # the head average [I ... I] / H of one block's rows, as one matmul
         head_mean = _freeze((np.arange(n_target * heads) % n_target
                              == np.arange(n_target)[:, None]) / heads)
-        return self._record("readout", (beta, theta),
-                            (v, head_mean, w_slot, b_slot))
+        logits, x = _readout(beta.value, theta.value, v, head_mean,
+                             w_slot, b_slot)
+        return self._record("readout", (beta, theta), logits,
+                            lambda g: _readout_adjoint(theta.value, v, head_mean,
+                                                       w_slot, b_slot, x, g))
 
     def cross_entropy(self, logits: Node, targets) -> Node:
         """R x 1: per block of len(targets) rows, the summed negative
@@ -322,7 +298,9 @@ class Tape:
                 or targets.max() >= cols:
             raise ValueError(f"cross_entropy: need blocks of targets in "
                              f"[0, {cols}) dividing {rows} rows, got {targets}")
-        return self._record("cross_entropy", (logits,), (targets,))
+        value, softmax = _cross_entropy(logits.value, targets)
+        return self._record("cross_entropy", (logits,), value,
+                            lambda g: (_cross_entropy_adjoint(softmax, g, targets),))
 
     # -- backward ---------------------------------------------------------
     def backward(self, output: Node) -> list[np.ndarray]:
@@ -344,10 +322,7 @@ class Tape:
             g = grads[node.index]
             if g is None or node.op == "leaf":
                 continue
-            parent_values = [self.nodes[p].value for p in node.parents]
-            parent_grads = _BACKWARD[node.op](node.value, g, parent_values,
-                                              node.meta, node.saved)
-            for p_idx, pg in zip(node.parents, parent_grads):
+            for p_idx, pg in zip(node.parents, node.adjoint(g)):
                 if grads[p_idx] is not None:
                     pg = grads[p_idx] + pg
                 # stored as the adjoint made it: accumulation is out of

@@ -90,6 +90,15 @@ def test_load_malformed_line_reports_line_number(tmp_path):
         load_instances(p)
 
 
+def test_load_line_that_is_not_utf8_reports_line_number(tmp_path):
+    p = tmp_path / "bytes.jsonl"
+    good = json.dumps({"id": "a", "source": [{"dur_ms": 10, "token": 1}],
+                       "reference": [1]})
+    p.write_bytes(good.encode() + b"\n\xff\n")
+    with pytest.raises(CorpusError, match=":2: not valid UTF-8"):
+        load_instances(p)
+
+
 def test_load_duplicate_id_rejected(tmp_path):
     entry = {"id": "dup", "source": [{"dur_ms": 10, "token": 1}], "reference": [1]}
     p = write_jsonl(tmp_path / "dup.jsonl", [entry, entry])
@@ -1058,6 +1067,17 @@ def test_emit_report_writes_file(tmp_path):
     assert out.read_text(encoding="utf-8") == text
 
 
+def test_cli_report_path_error_is_one_line(tmp_path, capsys):
+    # the path is quoted, so a line break in it stays inside the one line
+    mpath = cli_manifest(tmp_path)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = tmp_path / "file" / "no\nsuch" / "r.csv"
+    assert main(["evaluate", "--manifest", str(mpath), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write report to ")
+    assert err.count("\n") == 1 and repr(str(out)) in err
+
+
 def test_unknown_format_rejected():
     with pytest.raises(ValueError, match="format"):
         render_report(SweepReport(rows=()), format="yaml")
@@ -1162,6 +1182,30 @@ def test_cli_train_toy_summary(tmp_path, capsys):
 def test_cli_missing_manifest_exits_2(tmp_path, capsys):
     assert main(["evaluate", "--manifest", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("directory", "cannot read manifest"),
+    ("no-permission", "cannot read manifest"),
+    ("not-utf8", "is not valid JSON")])
+def test_cli_unreadable_manifest_exits_2_with_one_line(tmp_path, capsys,
+                                                       monkeypatch, kind,
+                                                       message):
+    mpath = tmp_path / "m.json"
+    if kind == "directory":
+        mpath.mkdir()
+    elif kind == "no-permission":
+        # a mode bit cannot deny a privileged user, so the read is refused
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+        mpath.write_text("{}", encoding="utf-8")
+        monkeypatch.setattr(type(mpath), "read_text", refuse)
+    else:
+        mpath.write_bytes(b'{"instances": "\xff"}')
+    assert main(["evaluate", "--manifest", str(mpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and repr(str(mpath)) in err
 
 
 def test_cli_single_threshold_sweep_exits_2(tmp_path, capsys):
@@ -1388,7 +1432,7 @@ def test_cli_sweep_trace_dir_keeps_every_threshold(tmp_path):
 
 
 @pytest.mark.parametrize("iid", ["", ".", "..", "../escaped", "a/b", "a\\b",
-                                 "a\x00b"])
+                                 "a\x00b", "a\ud800"])
 def test_load_rejects_id_that_is_not_a_file_name(tmp_path, iid):
     good = {"id": "ok", "source": [{"dur_ms": 10, "token": 1}], "reference": [1]}
     p = write_jsonl(tmp_path / "ids.jsonl", [good, dict(good, id=iid)])

@@ -7,9 +7,11 @@ import zlib
 import numpy as np
 import pytest
 
+from emma_stream.emma import LossWeights, emma_objective
+from emma_stream.emma import objective as objective_module
 from emma_stream.errors import DomainError
 from emma_stream.numerics import Tape, central_difference_gradient, finite_diff_check
-from emma_stream.numerics.tape import _BACKWARD
+from test_objective import toy_instance
 
 FD_TOL = 1e-5
 H = 1e-5
@@ -18,7 +20,7 @@ H = 1e-5
 def weighted_gradients(t, out, w):
     """Gradients of sum(w * out) with respect to every node up to ``out``:
     ``w`` is handed to ``out``'s adjoint as its upstream gradient, and the
-    tape's adjoint rules carry it back in reverse recording order, as
+    nodes' adjoints carry it back in reverse recording order, as
     ``Tape.backward`` carries the 1 of a scalar output."""
     grads = [None] * (out.index + 1)
     grads[out.index] = np.asarray(w, dtype=np.float64)
@@ -26,9 +28,7 @@ def weighted_gradients(t, out, w):
         g = grads[node.index]
         if g is None or node.op == "leaf":
             continue
-        parent_values = [t.nodes[p].value for p in node.parents]
-        for p, pg in zip(node.parents, _BACKWARD[node.op](
-                node.value, g, parent_values, node.meta, node.saved)):
+        for p, pg in zip(node.parents, node.adjoint(g)):
             grads[p] = pg if grads[p] is None else grads[p] + pg
     return [g if g is not None else np.zeros_like(n.value)
             for g, n in zip(grads, t.nodes)]
@@ -190,19 +190,44 @@ def test_backward_gradients_are_read_only():
     assert np.array_equal(grads[b.index], [[1.0, 1.0]])
 
 
-def test_finished_tape_is_freed_without_the_cycle_collector():
-    # nodes hold no reference to their tape, so dropping the last reference
-    # to the tape frees it and its saved intermediates at once, even while
-    # one of its nodes is still held
+def add_sum_tape(monkeypatch):
+    t = Tape()
+    a = t.leaf(np.ones((2, 2)))
+    t.backward(t.sum(t.add(a, a)))
+    return t
+
+
+def objective_tape(monkeypatch):
+    """The tape of one objective and its gradient: every op of the tape."""
+    tapes = []
+
+    class RecordingTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(objective_module, "Tape", RecordingTape)
+    heads, states, targets, readout = toy_instance(3)
+    emma_objective(heads, states, targets, LossWeights(0.5, 0.5), readout)
+    assert {node.op for node in tapes[0].nodes} == {
+        "leaf", "add", "sum", "monotonic_alignment", "lookback_attention",
+        "stepwise", "energies", "readout", "cross_entropy", "delay_moments"}
+    return tapes.pop()
+
+
+@pytest.mark.parametrize("build", [add_sum_tape, objective_tape])
+def test_finished_tape_is_freed_without_the_cycle_collector(monkeypatch, build):
+    # neither nodes nor their adjoint closures hold a reference to their
+    # tape, so dropping the last reference to the tape frees it and its
+    # saved intermediates at once, even while one of its nodes is still held
     gc.disable()
     try:
-        t = Tape()
-        a = t.leaf(np.ones((2, 2)))
-        t.backward(t.sum(t.add(a, a)))
+        t = build(monkeypatch)
+        a = t.nodes[0]
         ref = weakref.ref(t)
         del t
         assert ref() is None
-        assert a.value.shape == (2, 2)
+        assert a.value.ndim == 2
     finally:
         gc.enable()
 
